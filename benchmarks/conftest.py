@@ -13,10 +13,22 @@ full 10x acceptance bar lives in ``test_perf_engine.py``).
 """
 
 import sys
+from pathlib import Path
 
 import pytest
 
 SMOKE_SPEEDUP_FLOOR = 5.0
+
+#: Where benchmark modules write their measurement files: a gitignored
+#: directory, so running the suite never rewrites a tracked file.
+BENCH_OUT = Path(__file__).resolve().parent.parent / "bench-out"
+
+
+def bench_path(name: str) -> Path:
+    """``bench-out/<name>``, creating the directory."""
+    BENCH_OUT.mkdir(exist_ok=True)
+    return BENCH_OUT / name
+
 
 #: The Figure 14 burst-saturation workload, shared by the smoke guard
 #: below and by benchmarks/test_perf_engine.py (via the burst_runner

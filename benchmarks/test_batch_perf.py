@@ -11,15 +11,16 @@ already ~20x over the edge engine, see ``test_perf_engine.py``):
   templates, tens of thousands of replayed rounds).
 
 The batch tier must clear a 10x wall-clock speedup on every grid
-point and on the fleet; the full trajectory lands in
-``BENCH_PR7.json`` at the repo root so the perf record across PRs
-stays machine-readable.
+point and on the fleet; the full measurement lands in
+``bench-out/BENCH_PR7.json`` (gitignored) so it stays
+machine-readable.
 """
 
 import json
-from pathlib import Path
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
+from conftest import bench_path
+
+BENCH_PATH = bench_path("BENCH_PR7.json")
 GRID = (60, 240, 960)
 GRID_REPEATS = 7
 REQUIRED_SPEEDUP = 10.0

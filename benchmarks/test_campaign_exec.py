@@ -8,22 +8,23 @@ the edge-accurate engine — three ways:
 * process executor again against the warm store (must execute
   nothing).
 
-and emits ``BENCH_PR5.json`` at the repo root so the scaling
-trajectory stays machine-readable next to ``BENCH_PR1.json``.  The
+and writes ``bench-out/BENCH_PR5.json`` (gitignored) so the scaling
+numbers stay machine-readable next to ``BENCH_PR1.json``.  The
 speedup is *recorded*, not asserted — process pools on a loaded CI
 box can land anywhere — but identity and caching are hard failures.
 """
 
 import json
 import os
-from pathlib import Path
 
 from repro.campaign import Campaign, Grid, ResultStore
 from repro.core import Address
 from repro.faults import FaultSpec, RandomGlitches
 from repro.scenario import Burst, NodeSpec, SystemSpec
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
+from conftest import bench_path
+
+BENCH_PATH = bench_path("BENCH_PR5.json")
 WORKERS = min(4, max(2, os.cpu_count() or 2))
 
 #: 12 glitch rates, ~doubling: a realistic robustness-figure grid.

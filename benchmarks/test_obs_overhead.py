@@ -27,17 +27,16 @@ difference is dominated by per-process code-layout noise (observed
 swinging ±7 % in either direction between sessions at best-of-80),
 not by guard cost.  The edge row is the cleanest control: both arms
 execute byte-identical code there, so its |overhead| is the session's
-measurement noise floor.  Results land in ``BENCH_PR9.json`` at the
-repo root next to the recorded pre-PR seed baselines.
+measurement noise floor.  Results land in ``bench-out/BENCH_PR9.json``
+(gitignored) next to the recorded pre-PR seed baselines.
 """
 
 import json
 from contextlib import contextmanager
-from pathlib import Path
 
-from conftest import run_burst
+from conftest import bench_path, run_burst
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
+BENCH_PATH = bench_path("BENCH_PR9.json")
 
 OVERHEAD_CEILING = 0.02
 

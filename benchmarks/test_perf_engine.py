@@ -4,8 +4,8 @@ Runs the Figure 14 burst-saturation workload (defined once in
 ``conftest.py`` and shared with the session smoke guard via the
 ``burst_runner`` fixture) on both simulation backends, measuring
 wall-clock time, simulator events and achieved transaction
-throughput, and emits ``BENCH_PR1.json`` at the repo root so the perf
-trajectory across PRs stays machine-readable.
+throughput, and writes ``bench-out/BENCH_PR1.json`` (gitignored) so
+the run's numbers stay machine-readable.
 
 Acceptance: the fast path must clear a 10x wall-clock speedup on this
 workload (it typically lands well above that); the cheaper 5x smoke
@@ -14,9 +14,10 @@ guard in ``conftest.py`` runs for every benchmark session.
 
 import json
 import time
-from pathlib import Path
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR1.json"
+from conftest import bench_path
+
+BENCH_PATH = bench_path("BENCH_PR1.json")
 REPEATS = 5
 REQUIRED_SPEEDUP = 10.0
 

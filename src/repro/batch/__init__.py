@@ -11,7 +11,6 @@ transaction signatures, delivery sets, wake counts) is enforced by the
 three-way differential harness in :mod:`repro.diffcheck`.
 """
 
-from repro.batch import accel
 from repro.batch.cache import (
     cache_stats,
     clear_cache,
@@ -30,10 +29,11 @@ from repro.batch.executor import (
     BatchResult,
     RoundTemplate,
     materialize,
+    power_and_wire,
+    round_transaction,
 )
 
 __all__ = [
-    "accel",
     "BatchExecutor",
     "BatchResult",
     "CompiledSystem",
@@ -46,5 +46,7 @@ __all__ = [
     "compile_system_cached",
     "compile_workload",
     "materialize",
+    "power_and_wire",
+    "round_transaction",
     "spec_digest",
 ]

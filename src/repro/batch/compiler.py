@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.batch import accel
 from repro.core import constants
 from repro.core.errors import ConfigurationError
 from repro.core.messages import Message
@@ -247,7 +246,7 @@ def compile_workload(
 ) -> CompiledWorkload:
     """Lower a compiled schedule against ``csys``'s node table."""
     position_of = csys.position_of
-    t_s: List[float] = []
+    t_ps: List[int] = []
     pos: List[int] = []
     kind: List[int] = []
     ref: List[int] = []
@@ -280,9 +279,11 @@ def compile_workload(
         if position is None:
             raise ConfigurationError(f"no node named {source!r}")
         pos.append(position)
-        t_s.append(event.at_s)
+        # The event-loop runner's quantizer, so both schedule at the
+        # same picosecond.
+        t_ps.append(int(round(event.at_s * PS_PER_S)))
     return CompiledWorkload(
-        t_ps=accel.quantize_times(t_s, PS_PER_S),
+        t_ps=t_ps,
         pos=pos,
         kind=kind,
         ref=ref,

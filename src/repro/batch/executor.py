@@ -41,7 +41,6 @@ from heapq import heappop, heappush
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from repro.batch import accel
 from repro.batch.compiler import (
     KIND_POST,
     CompiledSystem,
@@ -623,45 +622,65 @@ class BatchExecutor:
 # ----------------------------------------------------------------------
 # Report materialisation.
 # ----------------------------------------------------------------------
-def materialize(csys: CompiledSystem, result: BatchResult):
-    """Expand a round log into the event-loop backends' report shape:
-    (transactions, power report, wire activity)."""
+def round_transaction(
+    index: int, t0: int, tpl: RoundTemplate, names
+) -> TransactionResult:
+    """One logged round (started at ``t0``) as the event-loop
+    backends' :class:`TransactionResult`."""
+    rx_deliveries = []
+    if tpl.message is not None and tpl.rx:
+        dest = tpl.message.dest
+        broadcast = tpl.rx_broadcast
+        rx_deliveries = [
+            (
+                name,
+                ReceivedMessage(
+                    source_hint="",
+                    dest=dest,
+                    payload=payload,
+                    broadcast=broadcast,
+                    control=control,
+                    arrived_at_ps=t0 + arr_off,
+                ),
+            )
+            for name, payload, control, arr_off in tpl.rx
+        ]
+    return TransactionResult(
+        index=index,
+        ok=tpl.ok,
+        control=tpl.control,
+        tx_node=None if tpl.winner is None else names[tpl.winner],
+        message=tpl.message,
+        rx_deliveries=rx_deliveries,
+        clock_cycles=tpl.clock_cycles,
+        control_cycles=tpl.control_cycles,
+        start_ps=t0,
+        end_ps=t0 + tpl.end_off,
+        general_error=tpl.general_error,
+        error_reason=tpl.error_reason,
+    )
+
+
+def materialize(
+    csys: CompiledSystem, result: BatchResult
+) -> List[TransactionResult]:
+    """Expand a round log into the event-loop backends' transaction
+    stream: one :class:`TransactionResult` object per round.
+
+    The runner calls this lazily, on a batch report's first
+    ``transactions`` access; serialising a report never needs it.
+    """
     names = csys.names
-    transactions: List[TransactionResult] = []
-    append = transactions.append
-    for index, (t0, tpl) in enumerate(result.round_log):
-        rx_deliveries = []
-        if tpl.message is not None and tpl.rx:
-            dest = tpl.message.dest
-            broadcast = tpl.rx_broadcast
-            rx_deliveries = [
-                (
-                    name,
-                    ReceivedMessage(
-                        source_hint="",
-                        dest=dest,
-                        payload=payload,
-                        broadcast=broadcast,
-                        control=control,
-                        arrived_at_ps=t0 + arr_off,
-                    ),
-                )
-                for name, payload, control, arr_off in tpl.rx
-            ]
-        append(TransactionResult(
-            index=index,
-            ok=tpl.ok,
-            control=tpl.control,
-            tx_node=None if tpl.winner is None else names[tpl.winner],
-            message=tpl.message,
-            rx_deliveries=rx_deliveries,
-            clock_cycles=tpl.clock_cycles,
-            control_cycles=tpl.control_cycles,
-            start_ps=t0,
-            end_ps=t0 + tpl.end_off,
-            general_error=tpl.general_error,
-            error_reason=tpl.error_reason,
-        ))
+    return [
+        round_transaction(index, t0, tpl, names)
+        for index, (t0, tpl) in enumerate(result.round_log)
+    ]
+
+
+def power_and_wire(csys: CompiledSystem, result: BatchResult):
+    """The event-loop backends' power-domain report and per-node
+    wire activity for one run."""
+    names = csys.names
     power = {}
     for name in csys.spec_order_names:
         p = csys.position_of[name]
@@ -671,13 +690,11 @@ def materialize(csys: CompiledSystem, result: BatchResult):
             "bus_wakeups": result.bus_wakeups[p],
             "layer_wakeups": result.layer_wakeups[p],
         }
-    tids = sorted(result.hit_counts)
-    if tids:
-        totals = accel.weighted_sum_rows(
-            [csys.template_list[tid].wire_row for tid in tids],
-            [result.hit_counts[tid] for tid in tids],
-        )
-    else:
-        totals = [0] * csys.n
+    # Each template's per-node toggle counts, weighted by how many
+    # times it ran.
+    totals = [0] * csys.n
+    for tid, hits in result.hit_counts.items():
+        for p, toggles in enumerate(csys.template_list[tid].wire_row):
+            totals[p] += hits * toggles
     wire = {names[p]: totals[p] for p in range(csys.n)}
-    return transactions, power, wire
+    return power, wire

@@ -26,17 +26,23 @@ Properties the campaign layer leans on:
   on load once the stale-line count passes
   ``max(live records, AUTO_COMPACT_MIN_STALE)``.
 * **byte-deterministic** — records are serialised with
-  :func:`~repro.campaign.trial.canonical_json`, so the same trial
-  always produces the same bytes, regardless of executor, process or
-  execution order (asserted by ``tests/integration/test_campaign.py``).
+  :func:`~repro.campaign.trial.canonical_json`, once, in :meth:`put`;
+  the store keeps that line and :meth:`line` hands it back verbatim,
+  so the same trial always produces the same bytes, regardless of
+  executor, process or execution order (asserted by
+  ``tests/integration/test_campaign.py``).
 * **schema-tolerant** — readers keep whole records as plain JSON and
   ignore keys they do not understand; records stamped with a newer
   ``schema_version`` still load (the ``lenient`` loaders reconstruct
   objects from their documents by dropping unknown fields).
-* **indexed** — loading builds an in-memory ``key -> record`` index
-  once; membership (``key in store``) and :meth:`get` are O(1) dict
-  lookups that never re-read the JSONL (the lookup surface the
-  campaign server's dedupe path and ``campaign status`` lean on).
+* **indexed** — the store keeps an in-memory ``key -> line`` index;
+  membership (``key in store``), :meth:`line` and :meth:`get` are
+  O(1) dict lookups that never re-read the JSONL (the lookup surface
+  the campaign server's dedupe path and ``campaign status`` lean on).
+  A record is kept as its line only; :meth:`get` decodes it on first
+  use (records read from the file are decoded while loading), so a
+  freshly put record is never parsed back and never aliases the
+  caller's dict.
   :meth:`refresh` picks up records appended by *another* process by
   reading only the file tail past the last consumed byte.
 * **observer-safe** — ``readonly=True`` opens a store without ever
@@ -80,8 +86,10 @@ class ResultStore:
     ):
         self._path: Optional[Path] = None if path is None else Path(path)
         self._readonly = readonly
-        self._records: Dict[str, Dict] = {}
+        #: key -> canonical line: the index, and the stored record.
         self._lines: Dict[str, str] = {}
+        #: key -> decoded record, for the keys decoded so far.
+        self._records: Dict[str, Dict] = {}
         self._order: List[str] = []
         self._stale = 0
         #: Bytes of the log consumed so far (complete lines only) —
@@ -95,7 +103,7 @@ class ResultStore:
                 not readonly
                 and auto_compact
                 and self._stale
-                > max(len(self._records), AUTO_COMPACT_MIN_STALE)
+                > max(len(self._lines), AUTO_COMPACT_MIN_STALE)
             ):
                 self.compact()
 
@@ -120,10 +128,10 @@ class ResultStore:
         return self._readonly
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._lines)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._records
+        return key in self._lines
 
     def keys(self) -> List[str]:
         """Stored keys, in first-seen order."""
@@ -132,7 +140,7 @@ class ResultStore:
     def records(self) -> Iterator[Dict]:
         """Stored records, in first-seen key order."""
         for key in self._order:
-            yield self._records[key]
+            yield self.get(key)
 
     def entries(self) -> List[str]:
         """The canonical record lines (the exact persisted bytes,
@@ -140,7 +148,18 @@ class ResultStore:
         return [self._lines[key] for key in self._order]
 
     def get(self, key: str) -> Optional[Dict]:
-        return self._records.get(key)
+        record = self._records.get(key)
+        if record is None:
+            line = self._lines.get(key)
+            if line is None:
+                return None
+            record = self._records[key] = json.loads(line)
+        return record
+
+    def line(self, key: str) -> Optional[str]:
+        """The stored canonical line of ``key``'s record (the exact
+        persisted bytes, minus the newline), without decoding it."""
+        return self._lines.get(key)
 
     @property
     def stale_lines(self) -> int:
@@ -170,12 +189,12 @@ class ResultStore:
         line = canonical_json(record)
         if self._lines.get(key) == line:
             return False
-        if key not in self._records:
+        if key not in self._lines:
             self._order.append(key)
         else:
             self._stale += 1  # the old line is now dead weight
-        self._records[key] = json.loads(line)
         self._lines[key] = line
+        self._records.pop(key, None)
         if self._path is not None:
             with open(self.results_path, "a") as handle:
                 handle.write(line + "\n")
@@ -224,7 +243,7 @@ class ResultStore:
             if not isinstance(key, str) or not key:
                 self._stale += 1
                 continue
-            if key not in self._records:
+            if key not in self._lines:
                 self._order.append(key)
             else:
                 self._stale += 1

@@ -2,8 +2,8 @@
 
 Every backend agrees on event order because ``(time, seq)`` keys are
 exact integers; one float leaking into a ``*_ps`` quantity introduces
-rounding that differs across code paths (and numpy vs pure python in
-the batch tier), breaking byte-identity between edge/fast/batch.
+rounding that differs across code paths, breaking byte-identity
+between edge/fast/batch.
 The sanctioned float->ps quantization point is an explicit ``int(...)``
 (idiomatically ``int(round(x * 1e12))``): this pass flags any value
 bound to a ``*_ps`` name whose expression contains a float literal or

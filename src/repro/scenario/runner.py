@@ -158,6 +158,71 @@ def select_backend(
     return backend
 
 
+class _Transactions:
+    """The ``RunReport.transactions`` field.  The batch tier sets it to
+    ``None`` and the list is materialised from the round log on first
+    access, so a report that is only serialised never builds one object
+    per transaction.  Dataclass ``__init__``, ``__eq__`` and
+    ``__repr__`` go through this descriptor, so a lazy report compares
+    and prints like an eager one."""
+
+    def __get__(
+        self, report: Optional["RunReport"], owner: Any = None
+    ) -> List[TransactionResult]:
+        if report is None:
+            raise AttributeError("transactions")   # keeps it required
+        if report.__dict__["_transactions"] is None:
+            from repro.batch import materialize
+
+            report.__dict__["_transactions"] = materialize(*report.batch)
+        return report.__dict__["_transactions"]
+
+    def __set__(
+        self,
+        report: "RunReport",
+        transactions: Optional[List[TransactionResult]],
+    ) -> None:
+        report.__dict__["_transactions"] = transactions
+
+
+def _per_second(count: float, seconds: float) -> float:
+    return count / seconds if seconds > 0 else 0.0
+
+
+def _transaction_row(
+    t: TransactionResult, model: MeasuredEnergyModel, n_nodes: int
+) -> Tuple[Dict, float, int]:
+    """``t``'s entry in ``RunReport.to_dict()``, its message energy
+    (0 unless it completed) and its delivered payload bits."""
+    energy = 0.0
+    if t.ok and t.message is not None:
+        energy = model.message_energy_pj(
+            len(t.message.payload),
+            n_nodes,
+            full_address=not t.message.dest.is_short,
+            n_receivers=max(1, len(t.rx_deliveries)),
+        )
+    doc = {
+        "index": t.index,
+        "ok": t.ok,
+        "control": None if t.control is None else t.control.name,
+        "tx_node": t.tx_node,
+        "payload_hex": (
+            None if t.message is None else t.message.payload.hex()
+        ),
+        "rx_nodes": t.rx_nodes,
+        "clock_cycles": t.clock_cycles,
+        "control_cycles": t.control_cycles,
+        "duration_ps": t.duration_ps,
+        "general_error": t.general_error,
+        "error_reason": t.error_reason,
+    }
+    bits = 0
+    for _, message in t.rx_deliveries:
+        bits += 8 * len(message.payload)
+    return doc, energy, bits
+
+
 @dataclass
 class RunReport:
     """Structured outcome of one scenario run.
@@ -171,7 +236,7 @@ class RunReport:
 
     backend: str
     spec: SystemSpec
-    transactions: List[TransactionResult]
+    transactions: List[TransactionResult] = _Transactions()  # type: ignore
     power: Dict[str, Dict[str, float]]
     wire_activity: Dict[str, int]
     sim_time_s: float
@@ -190,6 +255,12 @@ class RunReport:
     #: The live system (tracer access, node inboxes); excluded from
     #: comparisons and repr.
     system: Optional[MBusSystem] = field(
+        default=None, repr=False, compare=False
+    )
+    #: The batch tier's ``(CompiledSystem, BatchResult)``: the round
+    #: log ``transactions`` is materialised from, and ``to_dict()``
+    #: serialises straight from.
+    batch: Optional[Tuple[Any, Any]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -253,16 +324,12 @@ class RunReport:
     @property
     def throughput_tps(self) -> float:
         """Successful transactions per simulated second."""
-        if self.sim_time_s <= 0:
-            return 0.0
-        return self.n_ok / self.sim_time_s
+        return _per_second(self.n_ok, self.sim_time_s)
 
     @property
     def goodput_bps(self) -> float:
         """Delivered payload bits per simulated second."""
-        if self.sim_time_s <= 0:
-            return 0.0
-        return self.delivered_payload_bits / self.sim_time_s
+        return _per_second(self.delivered_payload_bits, self.sim_time_s)
 
     @property
     def wall_throughput_tps(self) -> float:
@@ -273,24 +340,13 @@ class RunReport:
         number that makes batch-vs-fast speedups visible in
         ``summary()`` output and benchmark JSON.
         """
-        if self.wall_s <= 0:
-            return 0.0
-        return self.n_transactions / self.wall_s
+        return _per_second(self.n_transactions, self.wall_s)
 
     def energy_pj(self, model: Optional[MeasuredEnergyModel] = None) -> float:
         """Message energy of the completed traffic (Section 6.2 model)."""
-        model = model or MeasuredEnergyModel()
-        n_nodes = len(self.spec.nodes)
         total = 0.0
-        for t in self.transactions:
-            if not t.ok or t.message is None:
-                continue
-            total += model.message_energy_pj(
-                len(t.message.payload),
-                n_nodes,
-                full_address=not t.message.dest.is_short,
-                n_receivers=max(1, len(t.rx_deliveries)),
-            )
+        for _doc, energy, _bits in self._transaction_rows(model):
+            total += energy
         return total
 
     def energy_per_delivered_bit_pj(
@@ -301,11 +357,49 @@ class RunReport:
             return 0.0
         return self.energy_pj(model) / bits
 
+    def _transaction_rows(
+        self, model: Optional[MeasuredEnergyModel] = None
+    ) -> Iterable[Tuple[Dict, float, int]]:
+        """:func:`_transaction_row` for every transaction, in bus order.
+
+        A batch report reads its round log instead of ``transactions``:
+        each round replays a template, and a row does not depend on
+        when its round started, so each template's row is computed once
+        from an exemplar transaction at ``t0 = 0`` and every round gets
+        a copy of its document under its own index.
+        """
+        model = model or MeasuredEnergyModel()
+        n_nodes = len(self.spec.nodes)
+        if self.batch is None:
+            for t in self.transactions:
+                yield _transaction_row(t, model, n_nodes)
+            return
+        from repro.batch import round_transaction
+
+        csys, result = self.batch
+        rows: Dict[int, Tuple[Dict, float, int]] = {}
+        for index, (_t0, tpl) in enumerate(result.round_log):
+            row = rows.get(tpl.tid)
+            if row is None:
+                row = rows[tpl.tid] = _transaction_row(
+                    round_transaction(0, 0, tpl, csys.names), model, n_nodes
+                )
+            exemplar, energy, bits = row
+            doc = dict(exemplar, index=index)
+            doc["rx_nodes"] = list(exemplar["rx_nodes"])
+            yield doc, energy, bits
+
     # -- presentation ------------------------------------------------------
     # lint: disable=schema -- one-way analytic report; records are re-derived from runs, never loaded back
     def to_dict(self) -> Dict:
-        energy_pj = self.energy_pj()
-        bits = self.delivered_payload_bits
+        transactions = []
+        energy_pj = 0.0
+        bits = n_ok = 0
+        for doc, energy, delivered in self._transaction_rows():
+            transactions.append(doc)
+            energy_pj += energy
+            bits += delivered
+            n_ok += doc["ok"]
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "backend": self.backend,
@@ -320,36 +414,21 @@ class RunReport:
                 None if self.reliability is None
                 else self.reliability.to_dict()
             ),
-            "n_transactions": self.n_transactions,
-            "n_ok": self.n_ok,
+            "n_transactions": len(transactions),
+            "n_ok": n_ok,
             "sim_time_s": self.sim_time_s,
             "wall_s": self.wall_s,
             "events_processed": self.events_processed,
-            "throughput_tps": self.throughput_tps,
-            "wall_throughput_tps": self.wall_throughput_tps,
-            "goodput_bps": self.goodput_bps,
+            "throughput_tps": _per_second(n_ok, self.sim_time_s),
+            "wall_throughput_tps": _per_second(
+                len(transactions), self.wall_s
+            ),
+            "goodput_bps": _per_second(bits, self.sim_time_s),
             "energy_pj": energy_pj,
             "energy_per_delivered_bit_pj": energy_pj / bits if bits else 0.0,
             "wire_activity": dict(self.wire_activity),
             "power": self.power,
-            "transactions": [
-                {
-                    "index": t.index,
-                    "ok": t.ok,
-                    "control": None if t.control is None else t.control.name,
-                    "tx_node": t.tx_node,
-                    "payload_hex": (
-                        None if t.message is None else t.message.payload.hex()
-                    ),
-                    "rx_nodes": t.rx_nodes,
-                    "clock_cycles": t.clock_cycles,
-                    "control_cycles": t.control_cycles,
-                    "duration_ps": t.duration_ps,
-                    "general_error": t.general_error,
-                    "error_reason": t.error_reason,
-                }
-                for t in self.transactions
-            ],
+            "transactions": transactions,
         }
 
     def summary(self) -> str:
@@ -567,18 +646,22 @@ def _run_batch(
     timeout_s: Optional[float],
     wall_deadline: Optional[float],
 ) -> RunReport:
-    """The tier-3 path of :func:`run`: compile, execute, materialise.
+    """The tier-3 path of :func:`run`: compile, execute, and wrap the
+    round log in a report.
 
     Compilation sits outside the timed window (it is the analogue of
     ``spec.build()`` + workload compilation, which the event-loop
     backends also do before their clock starts) and is memoised by
     spec content digest, so a campaign compiles each topology once.
+    The report keeps the round log rather than materialising it: its
+    ``transactions`` list is built on first access, and ``to_dict()``
+    serialises straight from the round templates.
     """
     from repro.batch import (
         BatchExecutor,
         compile_system_cached,
         compile_workload,
-        materialize,
+        power_and_wire,
     )
 
     with OBS.phase("compile"):
@@ -593,12 +676,12 @@ def _run_batch(
             until=until, wall_deadline=wall_deadline
         )
     with OBS.phase("serialize"):
-        transactions, power, wire = materialize(csys, result)
+        power, wire = power_and_wire(csys, result)
         wall_s = time.perf_counter() - start
         report = RunReport(
             backend="batch",
             spec=spec,
-            transactions=transactions,
+            transactions=None,
             power=power,
             wire_activity=wire,
             sim_time_s=result.end_ps / PS_PER_S,
@@ -608,6 +691,7 @@ def _run_batch(
             faults=None,
             reliability=None,
             system=None,
+            batch=(csys, result),
         )
     return report
 

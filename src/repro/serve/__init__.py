@@ -25,6 +25,7 @@ from repro.serve.scheduler import (
     RateLimited,
     Scheduler,
     TokenBucket,
+    TrialGate,
     UnknownJob,
 )
 from repro.serve.server import CampaignServer, run_server
@@ -45,6 +46,7 @@ __all__ = [
     "SubmitOptions",
     "SubmitRequest",
     "TokenBucket",
+    "TrialGate",
     "UnknownJob",
     "error_doc",
     "run_server",

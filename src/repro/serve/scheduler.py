@@ -31,13 +31,16 @@ Execution itself happens on one dedicated worker thread
 serve status and streaming requests while a campaign runs; the
 process executor then parallelises trials across worker processes as
 usual.  Trial completions cross back into the loop via
-``call_soon_threadsafe``, append canonical record lines to the job,
-and wake every streaming subscriber.
+``call_soon_threadsafe``, append each trial's stored record line to
+the job, and wake every streaming subscriber.  An optional
+:class:`TrialGate` holds the worker between trials, so tests can pin
+a job in ``running`` for exactly as long as they need.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +52,6 @@ from repro.campaign.campaign import Campaign
 from repro.campaign.failures import record_outcome
 from repro.campaign.resultset import ResultSet, TrialResult
 from repro.campaign.store import ResultStore
-from repro.campaign.trial import canonical_json
 from repro.core.errors import ConfigurationError
 from repro.core.schema import REPORT_SCHEMA_VERSION
 from repro.obs.state import OBS
@@ -134,6 +136,45 @@ class TokenBucket:
         return missing / self.rate_per_s
 
 
+class TrialGate:
+    """A deterministic hold on the scheduler's worker.
+
+    The worker passes the gate once before each trial of a job
+    resolves: before the campaign starts, and after every resolved
+    trial but the last.  Each pass takes one permit and blocks while
+    there are none, until :meth:`release` adds some or :meth:`open`
+    lifts the gate for good.  Under the serial executor a held gate
+    therefore keeps a job ``running`` between two trials.
+    :meth:`Scheduler.stop` opens the gate, so a held worker can reach
+    its checkpoint.
+    """
+
+    def __init__(self, permits: int = 0) -> None:
+        self._cond = threading.Condition()
+        self._permits = permits
+        self._open = False
+
+    def release(self, permits: int = 1) -> None:
+        """Let ``permits`` more trials through."""
+        with self._cond:
+            self._permits += permits
+            self._cond.notify_all()
+
+    def open(self) -> None:
+        """Let every trial through from now on."""
+        with self._cond:
+            self._open = True
+            self._cond.notify_all()
+
+    def wait(self) -> None:
+        """Worker side: take a permit, blocking until one is free."""
+        with self._cond:
+            while not self._open and self._permits == 0:
+                self._cond.wait()
+            if not self._open:
+                self._permits -= 1
+
+
 class Job:
     """One submission's live state (scheduler-internal; the wire view
     is :meth:`Scheduler.status`)."""
@@ -157,7 +198,7 @@ class Job:
         self.outcomes: Dict[str, int] = {}
         self.resumptions = 0
         self.error = ""
-        #: Canonical record lines, in resolution order — the results
+        #: Stored record lines, in resolution order — the results
         #: stream.  Reset at (re)run start so a resumed job streams a
         #: complete, consistent sequence.
         self.lines: List[str] = []
@@ -182,6 +223,7 @@ class Scheduler:
         rate_per_s: float = 10.0,
         burst: float = 20.0,
         clock: Optional[Callable[[], float]] = None,
+        gate: Optional[TrialGate] = None,
     ) -> None:
         if queue_depth < 1:
             raise ConfigurationError("queue_depth must be >= 1")
@@ -190,6 +232,7 @@ class Scheduler:
         self.rate_per_s = rate_per_s
         self.burst = burst
         self._clock = clock
+        self._gate = gate
         if self._root is None:
             self.results_store = ResultStore.memory()
             self._journal = ResultStore.memory()
@@ -284,6 +327,8 @@ class Scheduler:
         settle, and journal the interrupted job back to ``queued``."""
         self._stop.set()
         self._ready.set()   # unblock a worker waiting for submissions
+        if self._gate is not None:
+            self._gate.open()   # and one held between two trials
         if self._worker is not None:
             self._worker.cancel()
             try:
@@ -409,7 +454,7 @@ class Scheduler:
     def materialize(self, job: Job) -> List[str]:
         """The job's result lines.  A live (or just-finished) job
         carries them in memory; a terminal job recovered from the
-        journal rebuilds them from the shared store by trial key —
+        journal reads them back from the shared store by trial key —
         the same content-addressing ``campaign results`` uses."""
         if job.lines or not job.terminal:
             return job.lines
@@ -420,9 +465,9 @@ class Scheduler:
             return job.lines
         lines: List[str] = []
         for trial in trials:
-            record = self.results_store.get(trial.key)
-            if record is not None:
-                lines.append(canonical_json(record))
+            line = self.results_store.line(trial.key)
+            if line is not None:
+                lines.append(line)
         job.lines = lines
         return job.lines
 
@@ -488,18 +533,27 @@ class Scheduler:
 
     def _execute(self, job: Job) -> ResultSet:
         """Worker-thread body: run the campaign against the shared
-        store, posting each resolved trial back into the loop."""
+        store, posting each resolved trial back into the loop.  The
+        streamed line is the one the store holds for the trial (it
+        put or found the record before reporting progress), so
+        nothing is re-encoded."""
         campaign = Campaign.from_dict(job.request.campaign, lenient=True)
         options = job.request.options
         loop = self._loop
+        gate = self._gate
         assert loop is not None
 
         def progress(done: int, total: int, result: TrialResult) -> None:
-            line = canonical_json(result.record)
+            line = self.results_store.line(result.trial.key)
             loop.call_soon_threadsafe(
                 self._on_trial, job, line, result.cached,
                 record_outcome(result.record), total,
             )
+            if gate is not None and done < total:
+                gate.wait()
+
+        if gate is not None:
+            gate.wait()
 
         return campaign.run(
             executor=options.executor,

@@ -9,12 +9,27 @@ not implement (setup hooks, fault injection, tracing) with clear
 errors, and slot into :mod:`repro.campaign` unchanged.
 """
 
+import dataclasses
+
 import pytest
 
+import repro.batch
 from repro.batch import cache_stats, clear_cache, compile_system_cached
+from repro.campaign import canonical_json
 from repro.core import Address
 from repro.core.errors import BusLockedError, ConfigurationError
-from repro.scenario import Burst, NodeSpec, OneShot, SystemSpec, run
+from repro.diffcheck import generate_scenarios
+from repro.scenario import (
+    Broadcast,
+    Burst,
+    Interrupt,
+    NodeSpec,
+    OneShot,
+    RandomTraffic,
+    SystemSpec,
+    run,
+)
+from repro.scenario.workload import workload_from_dict
 
 from tests.integration.test_scenario_runner import SHAPES
 
@@ -90,6 +105,153 @@ class TestBatchReport:
         report = run(spec, workload, backend="batch")
         report.wall_s = 0.0
         assert report.wall_throughput_tps == 0.0
+
+
+def _spec(*members, **kwargs):
+    return SystemSpec(
+        name="records",
+        nodes=(NodeSpec("m", short_prefix=0x1, is_mediator=True),) + members,
+        **kwargs,
+    )
+
+
+#: Round shapes the batch serialiser must reproduce field for field:
+#: gated wakeups, interrupts, broadcasts, receiver-buffer aborts, the
+#: runaway watchdog and seeded random traffic, plus the diffcheck
+#: generator's fault-free scenarios.
+RECORD_SCENARIOS = {
+    "gated_wakeups": (
+        _spec(
+            NodeSpec("a", short_prefix=0x2, power_gated=True),
+            NodeSpec("b", short_prefix=0x3, power_gated=True),
+        ),
+        Burst("m", Address.short(0x2, 5), bytes(range(8)), count=12,
+              gap_s=0.001)
+        + Burst("b", Address.short(0x1, 5), b"\x07", count=3),
+    ),
+    "interrupts": (
+        _spec(NodeSpec("a", short_prefix=0x2, power_gated=True)),
+        Interrupt("a", at_s=0.001)
+        + OneShot("a", Address.short(0x1, 5), b"\x99", at_s=0.002),
+    ),
+    "broadcast": (
+        _spec(
+            NodeSpec("a", short_prefix=0x2),
+            NodeSpec("b", short_prefix=0x3),
+        ),
+        Broadcast("m", channel=0, payload=b"\xAA\xBB", priority=True),
+    ),
+    "rx_buffer_abort": (
+        _spec(
+            NodeSpec("a", short_prefix=0x2),
+            NodeSpec("b", short_prefix=0x3, rx_buffer_bytes=4),
+        ),
+        Burst("a", Address.short(0x3, 5), bytes(range(10)), count=2),
+    ),
+    "runaway": (
+        _spec(
+            NodeSpec("a", short_prefix=0x2),
+            NodeSpec("b", short_prefix=0x3, rx_buffer_bytes=4096),
+            max_message_bytes=1024,
+        ),
+        OneShot("a", Address.short(0x3, 5), bytes(1100)),
+    ),
+    "seeded_random": (
+        _spec(*(
+            NodeSpec(name, short_prefix=prefix, power_gated=prefix % 2 == 0)
+            for name, prefix in (("a", 2), ("b", 3), ("c", 4))
+        )),
+        RandomTraffic(seed=11, count=40, mean_gap_s=0.001,
+                      priority_fraction=0.25),
+    ),
+}
+for _scenario in generate_scenarios(24, seed=5, faults_fraction=0.0):
+    RECORD_SCENARIOS[f"fuzz_{_scenario['seed']}"] = (
+        SystemSpec.from_dict(_scenario["system"]),
+        workload_from_dict(_scenario["workload"]),
+    )
+
+#: ``to_dict()`` fields that name the tier or measure the host.
+HOST_FIELDS = ("backend", "wall_s", "wall_throughput_tps")
+
+
+def _tier_free(doc):
+    return canonical_json(
+        {k: v for k, v in doc.items() if k not in HOST_FIELDS}
+    )
+
+
+class TestBatchRecords:
+    """A batch report serialises straight from its round log, to the
+    same bytes the fast tier produces from its transaction objects."""
+
+    @pytest.mark.parametrize("name", sorted(RECORD_SCENARIOS))
+    def test_to_dict_matches_fast_byte_for_byte(self, name):
+        spec, workload = RECORD_SCENARIOS[name]
+        fast = run(spec, workload, backend="fast")
+        batch = run(spec, workload, backend="batch")
+        assert fast.n_transactions > 0
+        assert _tier_free(batch.to_dict()) == _tier_free(fast.to_dict())
+
+    def test_scenarios_cover_the_named_round_shapes(self):
+        reasons = set()
+        for name in ("rx_buffer_abort", "runaway"):
+            spec, workload = RECORD_SCENARIOS[name]
+            doc = run(spec, workload, backend="batch").to_dict()
+            reasons |= {
+                (t["control"], t["error_reason"]) for t in doc["transactions"]
+            }
+        assert ("RX_ABORT", "") in reasons
+        assert any(reason == "runaway-message" for _, reason in reasons)
+
+    def test_to_dict_never_materializes(self, monkeypatch):
+        calls = []
+        eager = repro.batch.materialize
+
+        def spy(csys, result):
+            calls.append(result)
+            return eager(csys, result)
+
+        monkeypatch.setattr(repro.batch, "materialize", spy)
+        spec, workload = RECORD_SCENARIOS["gated_wakeups"]
+        report = run(spec, workload, backend="batch")
+        first = report.to_dict()
+        assert calls == []
+        # Built once, on first access, equal to the eager list.
+        transactions = report.transactions
+        assert len(calls) == 1
+        assert transactions == eager(*report.batch)
+        assert report.transactions is transactions
+        assert len(calls) == 1
+        # The objects agree with the documents serialised without them.
+        assert report.to_dict() == first
+        assert report.n_ok == first["n_ok"]
+        assert report.energy_pj() == first["energy_pj"]
+
+    def test_lazy_report_equals_an_eager_one(self):
+        spec, workload = RECORD_SCENARIOS["seeded_random"]
+        report = run(spec, workload, backend="batch")
+        eager = dataclasses.replace(
+            report, transactions=repro.batch.materialize(*report.batch)
+        )
+        assert report == eager
+        assert repr(report) == repr(eager)
+
+    def test_documents_do_not_share_state(self):
+        # Every round of a plain burst replays one template.
+        spec = _spec(NodeSpec("a", short_prefix=0x2))
+        workload = Burst("m", Address.short(0x2, 5), b"\x01", count=4)
+        report = run(spec, workload, backend="batch")
+        _csys, result = report.batch
+        assert len({id(tpl) for _t0, tpl in result.round_log}) == 1
+        doc = report.to_dict()
+        first, second = doc["transactions"][:2]
+        assert first["rx_nodes"] == second["rx_nodes"] == ["a"]
+        first["rx_nodes"].append("intruder")
+        assert "intruder" not in second["rx_nodes"]
+        assert [t["index"] for t in doc["transactions"]] == list(
+            range(doc["n_transactions"])
+        )
 
 
 class TestBatchPolicy:

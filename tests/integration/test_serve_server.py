@@ -26,6 +26,7 @@ from repro.serve import (
     ServeClient,
     ServeError,
     SubmitOptions,
+    TrialGate,
 )
 
 SPEC = SystemSpec(
@@ -91,6 +92,13 @@ class ServerThread:
 
     def client(self):
         return ServeClient(port=self.server.port)
+
+
+def wait_for_state(client, job_id, state, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while client.status(job_id).state != state:
+        assert time.monotonic() < deadline, f"job never reached {state}"
+        time.sleep(0.005)
 
 
 class TestHTTPSurface:
@@ -162,13 +170,16 @@ class TestHTTPSurface:
             assert status.client == "bob"
 
     def test_full_queue_answers_503(self):
-        with ServerThread(queue_depth=1) as live:
+        gate = TrialGate()
+        with ServerThread(queue_depth=1, gate=gate) as live:
             client = live.client()
-            # A long job occupies the worker; one more fills the queue.
-            client.submit(
+            # A job held at the gate occupies the worker; one more
+            # fills the queue.
+            status, _ = client.submit(
                 campaign_doc("long", counts=tuple(range(1, 9))),
                 client="alice",
             )
+            wait_for_state(client, status.job_id, "running")
             client.submit(campaign_doc("queued", counts=(1,)))
             with pytest.raises(ServeError) as exc:
                 client.submit(campaign_doc("rejected", counts=(2,)))
@@ -199,7 +210,10 @@ class TestStreaming:
     def test_results_stream_while_running(self):
         """The JSONL stream delivers records before the job is done:
         the first line must arrive while the job is still live."""
-        with ServerThread() as live:
+        # One trial through, then the worker holds until the stream
+        # has checked the job is live.
+        gate = TrialGate(permits=1)
+        with ServerThread(gate=gate) as live:
             client = live.client()
             status, _ = client.submit(
                 campaign_doc("stream", counts=tuple(range(1, 7)))
@@ -210,6 +224,7 @@ class TestStreaming:
                 records.append(record)
                 if not client.status(status.job_id).terminal:
                     seen_live = True
+                gate.open()
             assert len(records) == 6
             assert seen_live, "stream only yielded after completion"
 

@@ -1,11 +1,11 @@
-"""Unit tests for the tier-3 batch compiler, accel seam and caches.
+"""Unit tests for the tier-3 batch compiler and caches.
 
 The compiler lowers specs and schedules to flat integer arrays; these
 tests pin the node-table layout (mediator-rooted rotation, ``-1``
 sentinels), message interning, scheduler-compatible time quantization,
-validation-error parity with the event-loop backends, the numpy/python
-accel equivalence, the content-addressed compiled-system cache, and
-the table-driven backend registry.
+validation-error parity with the event-loop backends, the
+content-addressed compiled-system cache, and the table-driven backend
+registry.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.batch import (
     KIND_INTERRUPT,
     KIND_POST,
     CompiledSystem,
-    accel,
     cache_stats,
     clear_cache,
     compile_system_cached,
@@ -201,55 +200,6 @@ class TestCompiledWorkload:
         )
         cwl = compile_workload(workload.compile(spec), csys)
         assert cwl.t_ps == (int(round(0.0123456789 * 1e12)),)
-
-
-class TestAccelSeam:
-    """Both implementations must agree integer-for-integer."""
-
-    @pytest.fixture
-    def both(self):
-        def call(fn, *args):
-            original = accel.backend_name()
-            try:
-                accel.configure(force="python")
-                python = fn(*args)
-                try:
-                    accel.configure(force="numpy")
-                except ImportError:
-                    pytest.skip("numpy not installed")
-                numpy = fn(*args)
-            finally:
-                accel.configure(force=original)
-            return python, numpy
-
-        return call
-
-    def test_quantize_times_equivalence(self, both):
-        # Includes a half-way case: round-half-even must agree.
-        seconds = [0.0, 1e-12, 0.0123456789, 2.5e-12, 3.5e-12] * 3
-        python, numpy = both(accel.quantize_times, seconds, 10**12)
-        assert python == numpy
-        assert python == [int(round(s * 10**12)) for s in seconds]
-
-    def test_prefix_sums_equivalence(self, both):
-        values = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
-        python, numpy = both(accel.prefix_sums, values)
-        assert python == numpy == [3, 4, 8, 9, 14, 23, 25, 31, 36, 39]
-
-    def test_weighted_sum_rows_equivalence(self, both):
-        rows = [[i + j for j in range(9)] for i in range(8)]
-        weights = list(range(1, 9))
-        python, numpy = both(accel.weighted_sum_rows, rows, weights)
-        assert python == numpy
-        assert python[0] == sum(w * r[0] for w, r in zip(weights, rows))
-
-    def test_env_var_opt_out(self, monkeypatch):
-        original = accel.backend_name()
-        try:
-            monkeypatch.setenv("REPRO_BATCH_NUMPY", "0")
-            assert accel.configure() == "python"
-        finally:
-            accel.configure(force=original)
 
 
 class TestCompiledSystemCache:

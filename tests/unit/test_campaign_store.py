@@ -111,3 +111,78 @@ class TestDiskStore:
         )
         assert store.entries() == on_disk
         assert [json.loads(line)["key"] for line in on_disk] == ["k1", "k2"]
+
+
+class TestStoredLine:
+    """``put`` keeps the one canonical line it writes; the record is
+    decoded from that line on first ``get``."""
+
+    def test_get_after_put_is_an_equal_independent_dict(self):
+        store = ResultStore.memory()
+        mine = record("k1", params={"x": [1, 2]})
+        store.put(mine)
+        got = store.get("k1")
+        assert got == mine
+        assert got is not mine
+        mine["params"]["x"].append(3)
+        mine["report"]["n_ok"] = 7
+        assert store.get("k1") == record("k1", params={"x": [1, 2]})
+
+    def test_line_is_the_written_bytes(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put(record("k1", params={"b": 2, "a": 1}))
+        on_disk = (tmp_path / "store" / RESULTS_FILENAME).read_text()
+        assert store.line("k1") + "\n" == on_disk
+        assert store.line("k1") == canonical_json(store.get("k1"))
+        assert store.line("missing") is None
+
+    def test_superseding_put_replaces_a_decoded_record(self):
+        store = ResultStore.memory()
+        store.put(record("k1"))
+        assert store.get("k1")["report"] == {"n_ok": 1}
+        store.put(record("k1", report={"n_ok": 2}))
+        assert store.get("k1")["report"] == {"n_ok": 2}
+        assert store.line("k1") == canonical_json(
+            record("k1", report={"n_ok": 2})
+        )
+
+    def test_records_and_entries_keep_first_seen_order(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        for key in ("k2", "k1", "k3"):
+            store.put(record(key))
+        store.put(record("k1", report={"n_ok": 5}))   # keeps its slot
+        assert store.keys() == ["k2", "k1", "k3"]
+        assert [r["key"] for r in store.records()] == ["k2", "k1", "k3"]
+        assert [r["report"]["n_ok"] for r in store.records()] == [1, 5, 1]
+        assert store.entries() == [
+            store.line(key) for key in ("k2", "k1", "k3")
+        ]
+
+    def test_compact_and_reload_of_never_decoded_records(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put(record("k1"))
+        store.put(record("k2"))
+        store.put(record("k1", report={"n_ok": 2}))
+        assert store.compact() == 1
+        reopened = ResultStore(tmp_path / "store")
+        assert reopened.entries() == store.entries()
+        assert list(reopened.records()) == list(store.records())
+
+    def test_torn_tail_reload_after_puts(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put(record("k1"))
+        path = tmp_path / "store" / RESULTS_FILENAME
+        with open(path, "a") as handle:
+            handle.write('{"key": "k2", "repo')
+        reopened = ResultStore(tmp_path / "store")
+        assert reopened.entries() == store.entries()
+        assert reopened.get("k1") == store.get("k1")
+
+    def test_refresh_sees_another_writers_puts(self, tmp_path):
+        observer = ResultStore(tmp_path / "store", readonly=True)
+        writer = ResultStore(tmp_path / "store")
+        writer.put(record("k1"))
+        writer.put(record("k2", params={"x": 1}))
+        assert observer.refresh() == 2
+        assert observer.entries() == writer.entries()
+        assert observer.get("k2") == writer.get("k2")

@@ -107,14 +107,7 @@ def test_datetime_now_flagged(tmp_path):
     assert len(findings) == 1
 
 
-def test_environ_allowed_in_env_module_only(tmp_path):
-    clean = lint(tmp_path, {
-        "batch/accel.py": (
-            "import os\n"
-            "gate = os.environ.get('REPRO_ACCEL', '')\n"
-        ),
-    })
-    assert clean == []
+def test_environ_read_flagged(tmp_path):
     flagged = lint(tmp_path / "other", {
         "core/node.py": (
             "import os\n"

@@ -3,11 +3,13 @@ journal recovery, and dedupe accounting through a real (tiny)
 campaign."""
 
 import asyncio
+import threading
+import time
 
 import pytest
 
 from repro import obs
-from repro.campaign import Campaign, Grid
+from repro.campaign import Campaign, Grid, canonical_json
 from repro.core import Address
 from repro.core.errors import ConfigurationError
 from repro.scenario import Burst, NodeSpec, SystemSpec
@@ -17,6 +19,7 @@ from repro.serve.scheduler import (
     RateLimited,
     Scheduler,
     TokenBucket,
+    TrialGate,
 )
 
 SPEC = SystemSpec(
@@ -182,6 +185,73 @@ class TestExecution:
         assert second.lines == first.lines
 
 
+class TestTrialGate:
+    def test_permits_are_never_over_granted(self):
+        gate = TrialGate()
+        passed = []
+        lock = threading.Lock()
+
+        def worker(n):
+            gate.wait()
+            with lock:
+                passed.append(n)
+
+        threads = [
+            threading.Thread(target=worker, args=(n,)) for n in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        gate.release(5)
+        deadline = time.monotonic() + 10
+        while len(passed) < 5:
+            assert time.monotonic() < deadline, passed
+            time.sleep(0.005)
+        time.sleep(0.05)
+        assert len(passed) == 5
+        gate.open()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert sorted(passed) == list(range(8))
+
+    def test_held_job_stays_running_between_trials(self):
+        gate = TrialGate(permits=1)
+        scheduler = Scheduler(gate=gate)
+        job, _ = scheduler.submit(request())
+
+        async def main():
+            await scheduler.start()
+            while job.done < 1:
+                await asyncio.sleep(0.005)
+            await asyncio.sleep(0.05)
+            held = (job.state, job.done)
+            gate.release()
+            while not job.terminal:
+                await asyncio.sleep(0.005)
+            await scheduler.stop()
+            return held
+
+        held = asyncio.run(asyncio.wait_for(main(), timeout=30))
+        assert held == ("running", 1)
+        assert job.state == "done" and job.done == 2
+
+    def test_stop_releases_a_held_worker(self, tmp_path):
+        gate = TrialGate()
+        scheduler = Scheduler(root=tmp_path / "serve", gate=gate)
+        job, _ = scheduler.submit(request())
+
+        async def main():
+            await scheduler.start()
+            while job.state != "running":
+                await asyncio.sleep(0.005)
+            await scheduler.stop()
+
+        asyncio.run(asyncio.wait_for(main(), timeout=30))
+        assert job.done == 0
+        recovered = Scheduler(root=tmp_path / "serve")
+        assert recovered.get(job.job_id).state == "queued"
+
+
 class TestJournalRecovery:
     def test_queued_job_survives_restart(self, tmp_path):
         root = tmp_path / "serve"
@@ -206,8 +276,11 @@ class TestJournalRecovery:
         assert twin.state == "done"
         assert twin.done == twin.n_trials == 2
         assert twin.outcomes == {"ok": 2}
-        # Results materialise from the shared store by trial key.
+        # Results materialise from the shared store by trial key, as
+        # the stored lines: the bytes a local run writes.
         assert recovered.materialize(twin) == lines
+        local = Campaign.from_dict(job.request.campaign).run()
+        assert lines == [canonical_json(r.record) for r in local]
 
     def test_recovered_queued_job_resumes_and_completes(self, tmp_path):
         root = tmp_path / "serve"

@@ -40,9 +40,9 @@ class TestIndexedLookup:
     def test_membership_is_o1_dict_backed(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put(record("k1"))
-        # The index *is* a dict: the contract satellite #1 pins.
-        assert isinstance(store._records, dict)
-        assert "k1" in store._records
+        # The index *is* a dict (key -> stored line).
+        assert isinstance(store._lines, dict)
+        assert "k1" in store._lines
 
 
 class TestReadonlyObserver:
