@@ -14,13 +14,13 @@ either engine.  Instead this module lowers
   sorted parallel ``(t_ps, position, kind, payload-ref)`` arrays with
   every distinct :class:`~repro.core.messages.Message` interned once.
 
-All spec-level validation that the event-loop backends perform at
-``MBusSystem`` construction time (duplicate/reserved short prefixes,
-the 14-node short-address budget, power-gated arbitration anchors,
-unknown node names) is replicated here with the *same*
-:class:`~repro.core.errors.ConfigurationError` messages, so the
-differential harness's error-symmetry check holds across all three
-tiers.
+The compiler validates a spec with the construction-path checks the
+event-loop backends use (:func:`~repro.core.node.check_node`,
+:func:`~repro.core.bus.check_prefixes`,
+:func:`~repro.core.bus.check_anchor`) applied to its
+:class:`~repro.scenario.spec.NodeSpec` objects, so a bad spec fails
+with the same :class:`~repro.core.errors.ConfigurationError` on all
+three tiers.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import constants
+from repro.core.bus import check_anchor, check_prefixes
 from repro.core.errors import ConfigurationError
 from repro.core.messages import Message
+from repro.core.node import check_node
 from repro.core.tlm_engine import NODE_SETTLE_FACTOR, RingTopology, TLMNode
 from repro.scenario.spec import NodeSpec, SystemSpec
 from repro.scenario.workload import InterruptEvent, PostEvent, ScheduleEvent
@@ -73,8 +75,9 @@ class CompiledSystem:
         self.spec = spec
         self.timing = spec.timing()
         nodes = list(spec.nodes)
-        _validate_node_specs(nodes)
-        _validate_prefixes(nodes)
+        for node in nodes:
+            check_node(node)
+        check_prefixes(nodes)
         mediator_index = next(
             i for i, node in enumerate(nodes) if node.is_mediator
         )
@@ -148,58 +151,10 @@ class CompiledSystem:
         if name is None:
             return None
         anchor = spec.node(name)
-        if anchor.power_gated:
-            raise ConfigurationError(
-                "the arbitration anchor holds always-on wire-"
-                "controller state; it cannot be power-gated"
-            )
+        check_anchor(anchor)
         if anchor.is_mediator:
             return None   # anchoring at the mediator is the default
         return next(i for i, node in enumerate(ring) if node.name == name)
-
-
-def _validate_node_specs(nodes: Sequence[NodeSpec]) -> None:
-    """The NodeConfig constructor checks, replicated verbatim."""
-    for node in nodes:
-        if node.short_prefix is None and node.full_prefix is None:
-            if not node.is_mediator:
-                raise ConfigurationError(
-                    f"node {node.name!r} needs a short or full prefix"
-                )
-        if node.is_mediator and node.power_gated:
-            raise ConfigurationError(
-                "the mediator's frontend must be able to self-start; "
-                "model it as a non-power-gated node"
-            )
-
-
-def _validate_prefixes(nodes: Sequence[NodeSpec]) -> None:
-    """``MBusSystem._validate_prefixes``, replicated verbatim."""
-    seen_short: Dict[int, str] = {}
-    short_count = 0
-    for node in nodes:
-        prefix = node.short_prefix
-        if prefix is None:
-            continue
-        short_count += 1
-        if prefix in seen_short:
-            raise ConfigurationError(
-                f"short prefix {prefix:#x} used by both "
-                f"{seen_short[prefix]!r} and {node.name!r}; run "
-                "enumeration to disambiguate duplicate chips (4.7)"
-            )
-        if prefix in (
-            constants.BROADCAST_PREFIX_VALUE,
-            constants.FULL_ADDR_MARKER_VALUE,
-        ):
-            raise ConfigurationError(
-                f"short prefix {prefix:#x} is reserved"
-            )
-        seen_short[prefix] = node.name
-    if short_count > constants.MAX_SHORT_ADDRESSED_NODES:
-        raise ConfigurationError(
-            "at most 14 short-addressed nodes per system (4.7)"
-        )
 
 
 class CompiledWorkload:

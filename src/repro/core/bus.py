@@ -9,7 +9,7 @@ transaction the mediator completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import constants
 from repro.core.addresses import Address
@@ -52,6 +52,51 @@ class TransactionResult:
     def total_cycles(self) -> int:
         """Clock cycles generated by the mediator (data + control)."""
         return self.clock_cycles + self.control_cycles
+
+
+def check_prefixes(nodes: Iterable[Any]) -> None:
+    """The system-wide short-prefix rules (Sections 4.2 and 4.7).
+
+    ``nodes`` are :class:`~repro.core.node.NodeConfig` or
+    :class:`~repro.scenario.spec.NodeSpec` objects in ring order.
+    """
+    seen_short: Dict[int, str] = {}
+    short_count = 0
+    for node in nodes:
+        prefix = node.short_prefix
+        if prefix is None:
+            continue
+        short_count += 1
+        if prefix in seen_short:
+            raise ConfigurationError(
+                f"short prefix {prefix:#x} used by both "
+                f"{seen_short[prefix]!r} and {node.name!r}; run "
+                "enumeration to disambiguate duplicate chips (4.7)"
+            )
+        if prefix in (
+            constants.BROADCAST_PREFIX_VALUE,
+            constants.FULL_ADDR_MARKER_VALUE,
+        ):
+            raise ConfigurationError(
+                f"short prefix {prefix:#x} is reserved"
+            )
+        seen_short[prefix] = node.name
+    if short_count > constants.MAX_SHORT_ADDRESSED_NODES:
+        raise ConfigurationError(
+            "at most 14 short-addressed nodes per system (4.7)"
+        )
+
+
+def check_anchor(anchor: Any) -> None:
+    """The Section 7 arbitration anchor breaks the ring the moment a
+    request appears, so it must be always on.  ``anchor`` is a
+    :class:`~repro.core.node.NodeConfig` or a
+    :class:`~repro.scenario.spec.NodeSpec`."""
+    if anchor.power_gated:
+        raise ConfigurationError(
+            "the arbitration anchor holds always-on wire-"
+            "controller state; it cannot be power-gated"
+        )
 
 
 class MBusSystem:
@@ -159,7 +204,7 @@ class MBusSystem:
             raise ConfigurationError("an MBus system requires a mediator")
         if len(self.nodes) < 2:
             raise ConfigurationError("an MBus system needs at least two nodes")
-        self._validate_prefixes()
+        check_prefixes(node.config for node in self.nodes)
         for node in self.nodes:
             node.on_result = self._record_tx
             node.on_receive = self._make_rx_recorder(node.on_receive)
@@ -191,33 +236,6 @@ class MBusSystem:
             self.tracer.watch_all(data_segments + clk_segments)
         self._built = True
         return self
-
-    def _validate_prefixes(self) -> None:
-        seen_short: Dict[int, str] = {}
-        short_count = 0
-        for node in self.nodes:
-            prefix = node.config.short_prefix
-            if prefix is None:
-                continue
-            short_count += 1
-            if prefix in seen_short:
-                raise ConfigurationError(
-                    f"short prefix {prefix:#x} used by both "
-                    f"{seen_short[prefix]!r} and {node.name!r}; run "
-                    "enumeration to disambiguate duplicate chips (4.7)"
-                )
-            if prefix in (
-                constants.BROADCAST_PREFIX_VALUE,
-                constants.FULL_ADDR_MARKER_VALUE,
-            ):
-                raise ConfigurationError(
-                    f"short prefix {prefix:#x} is reserved"
-                )
-            seen_short[prefix] = node.name
-        if short_count > constants.MAX_SHORT_ADDRESSED_NODES:
-            raise ConfigurationError(
-                "at most 14 short-addressed nodes per system (4.7)"
-            )
 
     # ------------------------------------------------------------------
     # Recording.
@@ -351,13 +369,9 @@ class MBusSystem:
         """
         self.build()
         if name is not None:
-            anchor = self.node(name)
-            if anchor.config.power_gated:
-                raise ConfigurationError(
-                    "the arbitration anchor holds always-on wire-"
-                    "controller state; it cannot be power-gated"
-                )
-            if anchor.config.is_mediator:
+            anchor = self.node(name).config
+            check_anchor(anchor)
+            if anchor.is_mediator:
                 name = None   # anchoring at the mediator is the default
         self._anchor_name = name
         if self._fast_backend is not None:

@@ -17,7 +17,7 @@ Power domains follow Figure 8's colouring:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.core import constants
 from repro.core.addresses import Address
@@ -60,18 +60,48 @@ class NodeConfig:
     node_delay_ps: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.short_prefix is None and self.full_prefix is None:
-            if not self.is_mediator:
-                raise ConfigurationError(
-                    f"node {self.name!r} needs a short or full prefix"
-                )
+        check_node(self)
         if self.auto_sleep is None:
             self.auto_sleep = self.power_gated
-        if self.is_mediator and self.power_gated:
+
+
+def check_node(node: Any) -> None:
+    """The construction-path checks on one node.
+
+    ``node`` is a :class:`NodeConfig` or a
+    :class:`~repro.scenario.spec.NodeSpec` (anything with their field
+    names).  Every tier calls this one function, so a bad node fails
+    with the same :class:`ConfigurationError` on edge, fast and batch.
+    """
+    short, full = node.short_prefix, node.full_prefix
+    if short is None and full is None:
+        if not node.is_mediator:
             raise ConfigurationError(
-                "the mediator's frontend must be able to self-start; "
-                "model it as a non-power-gated node"
+                f"node {node.name!r} needs a short or full prefix"
             )
+    if node.is_mediator and node.power_gated:
+        raise ConfigurationError(
+            "the mediator's frontend must be able to self-start; "
+            "model it as a non-power-gated node"
+        )
+    if short is not None and not (
+        0 <= short < 1 << constants.SHORT_PREFIX_BITS
+    ):
+        raise ConfigurationError(
+            f"node {node.name!r}: short prefix {short:#x} outside "
+            "4-bit range"
+        )
+    if full is not None and not (
+        0 <= full < 1 << constants.FULL_PREFIX_BITS
+    ):
+        raise ConfigurationError(
+            f"node {node.name!r}: full prefix {full:#x} outside "
+            "20-bit range"
+        )
+    if node.node_delay_ps is not None and node.node_delay_ps <= 0:
+        raise ConfigurationError(
+            f"node {node.name!r}: node_delay_ps must be positive"
+        )
 
 
 class MBusNode:

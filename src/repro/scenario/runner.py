@@ -1,4 +1,4 @@
-"""Backend-agnostic scenario execution: :func:`run` and :func:`sweep`.
+"""Backend-agnostic scenario execution: :func:`run`.
 
 ``run(spec, workload)`` builds the topology described by a
 :class:`~repro.scenario.spec.SystemSpec` on the selected simulation
@@ -30,16 +30,13 @@ the single source of truth for names, capabilities and help text, and
 options all derive from it.
 
 Parameter studies live in :mod:`repro.campaign` (grids, pluggable
-executors, content-addressed caching, queryable results); the old
-:func:`sweep` remains as a deprecated shim over a serial
-:class:`~repro.campaign.Campaign`.
+executors, content-addressed caching, queryable results).
 """
 
 from __future__ import annotations
 
 import functools
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -694,66 +691,3 @@ def _run_batch(
             batch=(csys, result),
         )
     return report
-
-
-@dataclass
-class SweepPoint:
-    """One grid point of a :func:`sweep`: its parameters and report."""
-
-    params: Dict[str, Any]
-    report: RunReport
-
-
-def sweep(
-    spec: SystemSpec,
-    workload: Union[Workload, Callable[[Dict[str, Any]], Workload]],
-    grid: Dict[str, Iterable[Any]],
-    backend: str = "auto",
-    trace: bool = False,
-    timeout_s: Optional[float] = None,
-    setup: Optional[Callable[[MBusSystem], Any]] = None,
-    faults: Any = None,
-) -> List[SweepPoint]:
-    """Deprecated: use :class:`repro.campaign.Campaign`.
-
-    Kept as a thin shim that compiles the same (spec, workload,
-    grid, faults) study into a :class:`Campaign` and runs it with
-    the serial executor, uncached and with live reports — exactly
-    the old serial in-memory loop, point for point.  The campaign
-    API adds what this never had: process-parallel execution,
-    content-addressed on-disk memoisation, resume after
-    interruption, and a queryable
-    :class:`~repro.campaign.resultset.ResultSet`::
-
-        Campaign(spec, workload, grid=grid, faults=faults).run(
-            executor="process", store="out/study")
-    """
-    warnings.warn(
-        "repro.scenario.sweep() is deprecated; use "
-        "repro.campaign.Campaign (serial executor = old behaviour, "
-        "plus process pools, on-disk caching and resume)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.campaign import Campaign
-
-    results = Campaign(
-        spec=spec,
-        workload=workload,
-        grid=grid,
-        faults=faults,
-        backend=backend,
-        timeout_s=timeout_s,
-    ).run(
-        executor="serial",
-        store=None,
-        resume=False,
-        dedupe=False,
-        keep_reports=True,
-        setup=setup,
-        trace=trace,
-    )
-    return [
-        SweepPoint(params=dict(result.params), report=result.live)
-        for result in results
-    ]

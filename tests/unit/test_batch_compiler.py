@@ -100,77 +100,85 @@ class TestCompiledSystem:
         assert CompiledSystem(spec_m).anchor_pos is None
 
 
+_MEDIATOR = NodeSpec("m", short_prefix=0x1, is_mediator=True)
+_PING = OneShot("m", Address.short(0x2, 5), b"\x01")
+
+
+def _system(*members, mediator=_MEDIATOR, **kwargs):
+    return SystemSpec(name="bad", nodes=(mediator,) + members, **kwargs)
+
+
 class TestValidationParity:
-    """The compiler must refuse exactly what MBusSystem refuses —
-    same exception type, same message — so error symmetry holds in
-    the differential harness."""
+    """Every tier must refuse exactly what MBusSystem refuses — same
+    exception type, same message — so error symmetry holds in the
+    differential harness."""
 
-    def _parity(self, spec, workload):
-        with pytest.raises(ConfigurationError) as edge_err:
-            run(spec, workload, backend="edge")
-        with pytest.raises(ConfigurationError) as batch_err:
-            run(spec, workload, backend="batch")
-        assert str(edge_err.value) == str(batch_err.value)
-
-    def test_duplicate_short_prefix(self):
-        spec = SystemSpec(
-            name="dup",
-            nodes=(
-                NodeSpec("m", short_prefix=0x1, is_mediator=True),
-                NodeSpec("a", short_prefix=0x2),
-                NodeSpec("b", short_prefix=0x2),
-            ),
-        )
-        self._parity(spec, OneShot("m", Address.short(0x2, 5), b"\x01"))
-
-    def test_reserved_short_prefix(self):
-        spec = SystemSpec(
-            name="reserved",
-            nodes=(
-                NodeSpec("m", short_prefix=0x1, is_mediator=True),
-                NodeSpec("a", short_prefix=0xF),
-            ),
-        )
-        self._parity(spec, OneShot("m", Address.short(0x1, 5), b"\x01"))
-
-    def test_short_address_budget(self):
-        spec = SystemSpec(
-            name="crowded",
-            nodes=tuple(
-                [NodeSpec("m", short_prefix=0x1, is_mediator=True)]
-                + [
-                    NodeSpec(f"n{i}", short_prefix=0x2 + i)
-                    for i in range(14)
-                ]
-            ),
-        )
-        self._parity(spec, OneShot("m", Address.short(0x2, 5), b"\x01"))
-
-    def test_prefixless_member(self):
-        spec = SystemSpec(
-            name="prefixless",
-            nodes=(
-                NodeSpec("m", short_prefix=0x1, is_mediator=True),
-                NodeSpec("ghost"),
-            ),
-        )
-        self._parity(spec, OneShot("m", Address.short(0x1, 5), b"\x01"))
-
-    def test_gated_anchor(self):
-        spec = SystemSpec(
-            name="gated-anchor",
-            nodes=(
-                NodeSpec("m", short_prefix=0x1, is_mediator=True),
-                NodeSpec("a", short_prefix=0x2, power_gated=True),
-            ),
-            arbitration_anchor="a",
-        )
-        self._parity(spec, OneShot("m", Address.short(0x2, 5), b"\x01"))
-
-    def test_unknown_workload_source(self):
-        self._parity(
-            three_chip(), OneShot("nobody", Address.short(0x2, 5), b"\x01")
-        )
+    @pytest.mark.parametrize("spec, workload, expected", [
+        pytest.param(
+            _system(NodeSpec("a", short_prefix=0x2),
+                    NodeSpec("b", short_prefix=0x2)),
+            _PING, "used by both", id="duplicate-short-prefix",
+        ),
+        pytest.param(
+            _system(NodeSpec("a", short_prefix=0xF)),
+            _PING, "is reserved", id="reserved-short-prefix",
+        ),
+        # Only 14 short prefixes are assignable, so a 15th
+        # short-addressed node always reuses or reserves one, which
+        # is reported before the budget.
+        pytest.param(
+            _system(*[NodeSpec(f"n{i}", short_prefix=0x2 + i)
+                      for i in range(14)]),
+            _PING, "is reserved", id="fifteen-short-prefixes",
+        ),
+        pytest.param(
+            _system(NodeSpec("ghost")),
+            _PING, "needs a short or full prefix", id="prefixless-member",
+        ),
+        pytest.param(
+            _system(NodeSpec("a", short_prefix=0x2, power_gated=True),
+                    arbitration_anchor="a"),
+            _PING, "cannot be power-gated", id="gated-anchor",
+        ),
+        pytest.param(
+            _system(NodeSpec("a", short_prefix=0x2),
+                    mediator=NodeSpec("m", short_prefix=0x1,
+                                      is_mediator=True, power_gated=True)),
+            _PING, "must be able to self-start", id="gated-mediator",
+        ),
+        pytest.param(
+            _system(NodeSpec("a", short_prefix=0x10)),
+            _PING, "outside 4-bit range", id="short-prefix-too-wide",
+        ),
+        pytest.param(
+            _system(NodeSpec("a", short_prefix=-1)),
+            _PING, "outside 4-bit range", id="short-prefix-negative",
+        ),
+        pytest.param(
+            _system(NodeSpec("a", full_prefix=1 << 21)),
+            _PING, "outside 20-bit range", id="full-prefix-too-wide",
+        ),
+        pytest.param(
+            _system(NodeSpec("a", short_prefix=0x2, node_delay_ps=-5)),
+            _PING, "node_delay_ps must be positive", id="node-delay-negative",
+        ),
+        pytest.param(
+            _system(NodeSpec("a", short_prefix=0x2, node_delay_ps=0)),
+            _PING, "node_delay_ps must be positive", id="node-delay-zero",
+        ),
+        pytest.param(
+            three_chip(),
+            OneShot("nobody", Address.short(0x2, 5), b"\x01"),
+            "no node named", id="unknown-workload-source",
+        ),
+    ])
+    def test_same_error_on_every_tier(self, spec, workload, expected):
+        messages = []
+        for backend in ("edge", "fast", "batch"):
+            with pytest.raises(ConfigurationError, match=expected) as err:
+                run(spec, workload, backend=backend)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == messages[2]
 
 
 class TestCompiledWorkload:
