@@ -207,20 +207,27 @@ def compile_workload(
     ref: List[int] = []
     interned = csys.message_ids
     messages = csys.message_table
+    # Per-call memo on Message's equality fields: a Message is built
+    # and hashed only on first sight, not once per event.
+    seen: Dict[tuple, int] = {}
     for event in schedule:
         if isinstance(event, PostEvent):
             source = event.source
             kind.append(KIND_POST)
-            message = Message(
-                dest=event.dest,
-                payload=event.payload,
-                priority=event.priority,
-            )
-            index = interned.get(message)
+            fields = (event.dest, event.payload, event.priority)
+            index = seen.get(fields)
             if index is None:
-                index = len(messages)
-                interned[message] = index
-                messages.append(message)
+                message = Message(
+                    dest=event.dest,
+                    payload=event.payload,
+                    priority=event.priority,
+                )
+                index = interned.get(message)
+                if index is None:
+                    index = len(messages)
+                    interned[message] = index
+                    messages.append(message)
+                seen[fields] = index
             ref.append(index)
         elif isinstance(event, InterruptEvent):
             source = event.node

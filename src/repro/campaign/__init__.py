@@ -67,6 +67,7 @@ from repro.campaign.trial import (
     canonical_json,
     derive_trial_seed,
     execute_trial,
+    record_line,
     run_trial_document,
     trial_record,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "failure_record",
     "load_campaign",
     "record_is_quarantined",
+    "record_line",
     "record_outcome",
     "run_serial",
     "run_trial_document",

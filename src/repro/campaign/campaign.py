@@ -78,6 +78,7 @@ from repro.campaign.trial import (
     Trial,
     derive_trial_seed,
     patch_document,
+    record_line,
 )
 from repro.core.errors import ConfigurationError
 from repro.faults.primitives import FaultSpec, normalize_faults
@@ -394,7 +395,17 @@ class Campaign:
             fresh: Dict[str, Dict] = {}
 
             def on_outcome(trial, record, wall_s, live_report):
-                live_store.put(record)
+                # A batch report hands over its transactions array
+                # already encoded, so its record line is composed
+                # rather than re-encoded row by row.
+                fragment = (
+                    None if live_report is None
+                    else live_report.transactions_json()
+                )
+                if fragment is None:
+                    live_store.put(record)
+                else:
+                    live_store.put(record, record_line(record, fragment))
                 fresh[trial.key] = record
                 if OBS.enabled:
                     OBS.metrics.inc(

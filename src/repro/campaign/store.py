@@ -25,12 +25,16 @@ Properties the campaign layer leans on:
   records (atomically: temp file + ``os.replace``); stores auto-compact
   on load once the stale-line count passes
   ``max(live records, AUTO_COMPACT_MIN_STALE)``.
-* **byte-deterministic** — records are serialised with
-  :func:`~repro.campaign.trial.canonical_json`, once, in :meth:`put`;
-  the store keeps that line and :meth:`line` hands it back verbatim,
-  so the same trial always produces the same bytes, regardless of
-  executor, process or execution order (asserted by
-  ``tests/integration/test_campaign.py``).
+* **byte-deterministic** — a stored line is the record's
+  :func:`~repro.campaign.trial.canonical_json`, encoded once: by
+  :meth:`put` itself, or by the caller, which may pass the line it
+  already holds (the serial campaign path composes a batch record's
+  line with :func:`~repro.campaign.trial.record_line`, byte-identical
+  to encoding the record).  The store keeps that line and
+  :meth:`line` hands it back verbatim, so the same trial always
+  produces the same bytes, regardless of tier, executor, process or
+  execution order (asserted by ``tests/integration/test_campaign.py``
+  and ``tests/integration/test_record_lines.py``).
 * **schema-tolerant** — readers keep whole records as plain JSON and
   ignore keys they do not understand; records stamped with a newer
   ``schema_version`` still load (the ``lenient`` loaders reconstruct
@@ -44,7 +48,11 @@ Properties the campaign layer leans on:
   freshly put record is never parsed back and never aliases the
   caller's dict.
   :meth:`refresh` picks up records appended by *another* process by
-  reading only the file tail past the last consumed byte.
+  reading only the file tail past the last consumed byte.  The offset
+  is only meaningful in the file it was taken from, so the store
+  remembers the log's ``(st_dev, st_ino)``: a log that another
+  process compacted (``os.replace`` installs a new file) or that
+  shrank is reloaded in full instead.
 * **observer-safe** — ``readonly=True`` opens a store without ever
   writing: a torn tail is tolerated in memory (the rollback happens
   on the parsed bytes, not the file), auto-compaction is off and
@@ -62,7 +70,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.campaign.trial import canonical_json
 from repro.core.errors import ConfigurationError
@@ -95,6 +103,9 @@ class ResultStore:
         #: Bytes of the log consumed so far (complete lines only) —
         #: the resume point for :meth:`refresh`.
         self._offset = 0
+        #: ``(st_dev, st_ino)`` of the log ``_offset`` points into;
+        #: ``None`` until a log file is seen.
+        self._identity: Optional[Tuple[int, int]] = None
         if self._path is not None:
             if not readonly:
                 self._path.mkdir(parents=True, exist_ok=True)
@@ -168,8 +179,12 @@ class ResultStore:
         return self._stale
 
     # -- mutation ----------------------------------------------------------
-    def put(self, record: Dict) -> bool:
+    def put(self, record: Dict, line: Optional[str] = None) -> bool:
         """Memoise ``record``; returns True if anything was written.
+
+        ``line`` is ``canonical_json(record)`` when the caller already
+        has it (see :func:`~repro.campaign.trial.record_line`); it is
+        stored as given.  Without it the record is encoded here.
 
         Identical re-puts are no-ops.  A changed record under an
         existing key is appended (the log keeps history; the index
@@ -186,7 +201,8 @@ class ResultStore:
             raise ConfigurationError(
                 "a store record needs a non-empty string 'key'"
             )
-        line = canonical_json(record)
+        if line is None:
+            line = canonical_json(record)
         if self._lines.get(key) == line:
             return False
         if key not in self._lines:
@@ -200,6 +216,8 @@ class ResultStore:
                 handle.write(line + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
+                if self._identity is None:
+                    self._identity = _identity(handle.fileno())
             self._offset += len(line.encode("utf-8")) + 1
         return True
 
@@ -208,7 +226,9 @@ class ResultStore:
         path = self.results_path
         if not path.exists():
             return
-        raw = path.read_bytes()
+        with open(path, "rb") as handle:
+            self._identity = _identity(handle.fileno())
+            raw = handle.read()
         if raw and not raw.endswith(b"\n"):
             # A torn tail: either a killed writer (mid-append) or a
             # *live* writer another process is racing us with.  The
@@ -257,22 +277,28 @@ class ResultStore:
         load/refresh, reading only the unseen tail of the log (the
         in-memory index stays O(1) for lookups; nothing is rescanned).
         A torn last line is left unconsumed for the next refresh; a
-        log that *shrank* (externally compacted) triggers one full
-        reload.  Returns the number of record lines consumed."""
+        log that is a different file (another process compacted it:
+        ``os.replace`` installed a new one) or that *shrank* triggers
+        one full reload.  Returns the number of record lines
+        consumed."""
         path = self.results_path
         if path is None or not path.exists():
             return 0
-        size = path.stat().st_size
-        if size < self._offset:
-            # Externally compacted/rewritten: start over.
-            self._records.clear()
-            self._lines.clear()
-            self._order.clear()
-            self._stale = 0
-            self._offset = 0
-        if size == self._offset:
-            return 0
         with open(path, "rb") as handle:
+            stat = os.fstat(handle.fileno())
+            identity = (stat.st_dev, stat.st_ino)
+            size = stat.st_size
+            if identity != self._identity or size < self._offset:
+                # Compacted or rewritten elsewhere: the offset points
+                # into another file, so start over.
+                self._records.clear()
+                self._lines.clear()
+                self._order.clear()
+                self._stale = 0
+                self._offset = 0
+                self._identity = identity
+            if size == self._offset:
+                return 0
             handle.seek(self._offset)
             raw = handle.read()
         if raw and not raw.endswith(b"\n"):
@@ -309,7 +335,17 @@ class ResultStore:
                 written += len(line.encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
+            # os.replace keeps the temp file's inode.
+            identity = _identity(handle.fileno())
         os.replace(tmp, path)
         self._stale = 0
         self._offset = written
+        self._identity = identity
         return reclaimed
+
+
+def _identity(fd: int) -> Tuple[int, int]:
+    """``(st_dev, st_ino)`` of an open file: which file an offset
+    into the log refers to."""
+    stat = os.fstat(fd)
+    return stat.st_dev, stat.st_ino

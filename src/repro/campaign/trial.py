@@ -145,6 +145,39 @@ def trial_record(trial: Trial, report_doc: Dict) -> Dict:
     }
 
 
+def record_line(record: Dict, transactions_json: Optional[str] = None) -> str:
+    """``canonical_json(record)``, composed over the record's sorted
+    keys with ``transactions_json`` spliced in as the already-encoded
+    ``report.transactions`` array (a batch report's
+    :meth:`~repro.scenario.runner.RunReport.transactions_json`).
+
+    Canonical JSON of a dict is the sorted ``key:value`` encodings
+    joined by commas, so the composed line is byte-identical to
+    encoding the whole record.  Without a fragment this is
+    ``canonical_json(record)``.
+    """
+    if transactions_json is None:
+        return canonical_json(record)
+    report = _splice(record["report"], "transactions", transactions_json)
+    return _splice(record, "report", report)
+
+
+def _splice(document: Dict, name: str, encoded: str) -> str:
+    """Canonical JSON of ``document`` with ``document[name]`` taken
+    as the already-encoded ``encoded``: the keys sorting before and
+    after ``name`` are encoded as two objects, and their braces
+    dropped around the spliced member."""
+    keys = sorted(document)
+    at = keys.index(name)
+    before = canonical_json({key: document[key] for key in keys[:at]})
+    after = canonical_json({key: document[key] for key in keys[at + 1:]})
+    member = canonical_json(name) + ":" + encoded
+    return (
+        before[:-1] + ("," if at else "") + member
+        + ("," if at + 1 < len(keys) else "") + after[1:]
+    )
+
+
 def execute_trial(
     trial: Trial,
     setup: Optional[Callable] = None,

@@ -220,6 +220,26 @@ def _transaction_row(
     return doc, energy, bits
 
 
+def _template_rows(
+    batch: Tuple[Any, Any], model: MeasuredEnergyModel, n_nodes: int
+) -> Dict[int, Tuple[Dict, float, int]]:
+    """Template id -> :func:`_transaction_row` for every round template
+    a batch run's ``(CompiledSystem, BatchResult)`` replayed.  A row
+    does not depend on when its round started, so each template's row
+    is computed once, from an exemplar transaction at ``t0 = 0``."""
+    from repro.batch import round_transaction
+
+    csys, result = batch
+    return {
+        tid: _transaction_row(
+            round_transaction(0, 0, csys.template_list[tid], csys.names),
+            model,
+            n_nodes,
+        )
+        for tid in result.hit_counts
+    }
+
+
 @dataclass
 class RunReport:
     """Structured outcome of one scenario run.
@@ -360,10 +380,8 @@ class RunReport:
         """:func:`_transaction_row` for every transaction, in bus order.
 
         A batch report reads its round log instead of ``transactions``:
-        each round replays a template, and a row does not depend on
-        when its round started, so each template's row is computed once
-        from an exemplar transaction at ``t0 = 0`` and every round gets
-        a copy of its document under its own index.
+        every round gets a copy of its template's row document
+        (:func:`_template_rows`) under its own index.
         """
         model = model or MeasuredEnergyModel()
         n_nodes = len(self.spec.nodes)
@@ -371,24 +389,51 @@ class RunReport:
             for t in self.transactions:
                 yield _transaction_row(t, model, n_nodes)
             return
-        from repro.batch import round_transaction
-
-        csys, result = self.batch
-        rows: Dict[int, Tuple[Dict, float, int]] = {}
-        for index, (_t0, tpl) in enumerate(result.round_log):
-            row = rows.get(tpl.tid)
-            if row is None:
-                row = rows[tpl.tid] = _transaction_row(
-                    round_transaction(0, 0, tpl, csys.names), model, n_nodes
-                )
-            exemplar, energy, bits = row
+        rows = _template_rows(self.batch, model, n_nodes)
+        for index, (_t0, tpl) in enumerate(self.batch[1].round_log):
+            exemplar, energy, bits = rows[tpl.tid]
             doc = dict(exemplar, index=index)
             doc["rx_nodes"] = list(exemplar["rx_nodes"])
             yield doc, energy, bits
 
+    def transactions_json(self) -> Optional[str]:
+        """The canonical JSON of ``to_dict()["transactions"]``, encoded
+        from the round log of a batch report; ``None`` for the other
+        tiers.
+
+        Each template's row is encoded once, as the two fragments
+        around its ``"index":`` value (``index`` is an interior key in
+        sorted order and no earlier value can contain the unescaped
+        text), so a round's entry is ``head + str(index) + tail``.
+        :func:`repro.campaign.trial.record_line` splices the result
+        into a record line byte-identical to encoding the whole record.
+        """
+        if self.batch is None:
+            return None
+        from repro.campaign.trial import canonical_json
+
+        rows = _template_rows(
+            self.batch, MeasuredEnergyModel(), len(self.spec.nodes)
+        )
+        fragments: Dict[int, Tuple[str, str]] = {}
+        for tid, (exemplar, _energy, _bits) in rows.items():
+            head, marker, tail = canonical_json(
+                dict(exemplar, index=0)
+            ).partition('"index":')
+            fragments[tid] = (head + marker, tail[1:])
+        entries: List[str] = []
+        for index, (_t0, tpl) in enumerate(self.batch[1].round_log):
+            head, tail = fragments[tpl.tid]
+            entries.append(f"{head}{index}{tail}")
+        return "[" + ",".join(entries) + "]"
+
     # -- presentation ------------------------------------------------------
     # lint: disable=schema -- one-way analytic report; records are re-derived from runs, never loaded back
     def to_dict(self) -> Dict:
+        """The report as a JSON-friendly document.  Its
+        ``transactions`` rows come from :meth:`_transaction_rows`; a
+        batch report can also encode that array directly, once per
+        round template (:meth:`transactions_json`)."""
         transactions = []
         energy_pj = 0.0
         bits = n_ok = 0

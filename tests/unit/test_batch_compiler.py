@@ -22,18 +22,22 @@ from repro.batch import (
 )
 from repro.core import Address
 from repro.core.errors import ConfigurationError
+from repro.core.messages import Message
 from repro.scenario import (
     BACKEND_REGISTRY,
     BACKENDS,
+    Broadcast,
     Burst,
     Interrupt,
     NodeSpec,
     OneShot,
+    RandomTraffic,
     SystemSpec,
     backend_help,
     run,
     select_backend,
 )
+from repro.scenario.workload import PostEvent
 
 
 def three_chip(**kwargs):
@@ -199,6 +203,62 @@ class TestCompiledWorkload:
         assert cwl.ref == (0, 0, 0, -1)
         # ...and positions are mediator-rooted (cpu=0, radio=1).
         assert cwl.pos == (0, 0, 0, 1)
+
+    def test_interning_matches_a_message_keyed_reference(self):
+        """Interning on event fields gives the ids and table order of
+        interning by :class:`Message`, across workloads compiled one
+        after another against one cached system."""
+        spec = SystemSpec(
+            name="interning",
+            nodes=(
+                NodeSpec("cpu", short_prefix=0x1, is_mediator=True),
+                NodeSpec("sensor", short_prefix=0x2, power_gated=True),
+                NodeSpec("radio", short_prefix=0x3, full_prefix=0xAB0CD,
+                         broadcast_channels=frozenset({1})),
+            ),
+        )
+        workloads = [
+            Burst("cpu", Address.short(0x2, 5), b"\xAA", count=4),
+            Burst("cpu", Address.short(0x2, 5), b"\xAA", count=2,
+                  priority=True),
+            Burst("sensor", Address.full(0xAB0CD, 1), b"\x01\x02",
+                  count=3),
+            RandomTraffic(seed=3, count=25, mean_gap_s=0.001,
+                          priority_fraction=0.3),
+            Broadcast("cpu", channel=1, payload=b"\xAA"),
+            Interrupt("sensor", at_s=0.01)
+            + OneShot("cpu", Address.short(0x2, 5), b"\xAA", at_s=0.02),
+        ]
+        clear_cache()
+        csys = compile_system_cached(spec)
+        ids = {}
+        table = []
+        compiled = []
+        for workload in workloads:
+            schedule = workload.compile(spec)
+            ref = []
+            for event in schedule:
+                if isinstance(event, PostEvent):
+                    message = Message(event.dest, event.payload,
+                                      event.priority)
+                    if message not in ids:
+                        ids[message] = len(table)
+                        table.append(message)
+                    ref.append(ids[message])
+                else:
+                    ref.append(-1)
+            cwl = compile_workload(schedule, csys)
+            assert cwl.ref == tuple(ref)
+            assert cwl.messages == tuple(table)
+            compiled.append(cwl)
+        assert csys.message_table == table
+        assert csys.message_ids == ids
+        assert len(table) > 5
+        # Equal messages share one id across workloads; the priority
+        # flag alone makes a different message.
+        burst, priority, *_rest, interrupt_then_post = compiled
+        assert interrupt_then_post.ref == (-1, burst.ref[0])
+        assert priority.ref[0] != burst.ref[0]
 
     def test_quantization_matches_event_loop_runner(self):
         spec = three_chip()

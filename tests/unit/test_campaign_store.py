@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.campaign import RESULTS_FILENAME, ResultStore, canonical_json
+from repro.campaign import (
+    RESULTS_FILENAME,
+    ResultStore,
+    canonical_json,
+    record_line,
+)
 from repro.core.errors import ConfigurationError
 
 
@@ -135,6 +140,17 @@ class TestStoredLine:
         assert store.line("k1") + "\n" == on_disk
         assert store.line("k1") == canonical_json(store.get("k1"))
         assert store.line("missing") is None
+
+    def test_put_stores_a_given_line_verbatim(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        mine = record("k1", params={"b": 2, "a": 1})
+        line = record_line(mine)
+        assert store.put(mine, line) is True
+        assert store.line("k1") == line
+        assert store.put(mine) is False   # the same bytes: a no-op
+        on_disk = (tmp_path / "store" / RESULTS_FILENAME).read_text()
+        assert on_disk == line + "\n"
+        assert ResultStore(tmp_path / "store").get("k1") == mine
 
     def test_superseding_put_replaces_a_decoded_record(self):
         store = ResultStore.memory()

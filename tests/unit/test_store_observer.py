@@ -144,6 +144,40 @@ class TestRefresh:
         assert observer.get("k1")["params"] == {"x": 1}
 
 
+    def test_refresh_after_compaction_and_appends_past_old_offset(
+        self, tmp_path
+    ):
+        """The observer's byte offset belongs to the old file.  Once
+        the writer compacts (``os.replace`` installs a new, smaller
+        file) and appends past that offset, seeking to it would land
+        mid-file: records would be missed and fragments counted as
+        stale.  A changed file identity forces one full reload."""
+        path = tmp_path / "store"
+        writer = ResultStore(path, auto_compact=False)
+        for i in range(40):
+            writer.put(record(f"k{i:03d}"))
+        for i in range(40):
+            writer.put(record(f"k{i:03d}", params={"x": i}))  # supersede
+        observer = ResultStore(path, readonly=True)
+        old_offset = observer._offset
+        assert observer.stale_lines == 40
+
+        assert writer.compact() == 40
+        for i in range(40, 160):
+            writer.put(record(f"k{i:03d}"))
+        log = path / RESULTS_FILENAME
+        assert log.stat().st_size > old_offset   # appends pass it
+
+        observer.refresh()
+        assert observer.keys() == writer.keys()
+        assert len(observer) == 160
+        assert observer.stale_lines == 0
+        assert observer.entries() == writer.entries()
+        assert observer.get("k007")["params"] == {"x": 7}
+        writer.put(record("k999"))
+        assert observer.refresh() == 1   # back to tail reads
+        assert observer.keys()[-1] == "k999"
+
 class TestCampaignStatusObserver:
     def test_status_tolerates_actively_appended_store(self, tmp_path):
         """``campaign status`` on a store with a torn tail reports the
