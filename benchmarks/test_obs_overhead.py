@@ -1,12 +1,15 @@
 """Disabled-observability overhead guard: the strict-no-op contract.
 
-Every instrumentation site this PR added to a hot path hides behind a
-single ``if OBS.enabled`` attribute check.  The only *per-round* site
-is the :func:`repro.core.tlm_engine.plan_round` wrapper — the fast
-path calls it once per bus round, so a 60-message fig14 burst
-executes it 60+ times inside ~3 ms of wall time.  This guard measures
-what that wrapper costs when observability is off (the default, and
-the only state benchmarks and campaigns run in):
+Every instrumentation site on a hot path hides behind a single
+``if OBS.enabled`` attribute check.  The fast path's *per-round*
+sites are the round-cache hit/miss counter in
+``FastPathBackend._plan`` and the ``fastpath.rounds`` counter in
+``_finalize``.  The :func:`repro.core.tlm_engine.plan_round` wrapper
+runs only on a round-cache miss: the fast path plans a round once and
+replays it while it recurs, so a 60-message fig14 burst calls it a
+few times, not once per round.  This guard measures what the wrapper
+costs when observability is off (the default, and the only state
+benchmarks and campaigns run in):
 
 * **guarded arm** — the shipped code, ``OBS`` disabled;
 * **bypassed arm** — ``plan_round`` monkeypatched back to

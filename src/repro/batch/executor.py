@@ -8,11 +8,11 @@ heap of pending auto-sleeps — in exactly the ``(time, seq)`` order the
 :class:`~repro.sim.scheduler.Simulator` would have used, and resolves
 each round from a **template**.
 
-A template is one round shape planned *once* at ``t0 = 0`` by the same
-analytic :func:`~repro.core.tlm_engine.plan_round` the fast path uses.
-Every timestamp the planner produces is ``t0``-linear (a constant
-offset from the round start for a fixed topology, request set, power
-state and pulser set), so a template keyed by
+A template is one round shape planned *once* by the same analytic
+:func:`~repro.core.tlm_engine.plan_round` the fast path uses.  Every
+time the planner produces is an offset from the round start (constant
+for a fixed topology, request set, power state and pulser set), so a
+template keyed by
 
     (sorted (position, message) requests,
      sorted non-default power/interrupt states,
@@ -374,7 +374,6 @@ class BatchExecutor:
             }
             plan = plan_round(RoundContext(
                 topology=csys.topology,
-                t0=0,
                 requests={p: messages[r] for p, r in req_items},
                 states=states,
                 anchor_pos=csys.anchor_pos,

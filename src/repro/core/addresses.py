@@ -21,6 +21,7 @@ Wire formats (most significant bit transmitted first):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Container, Optional, Tuple
 
 from repro.core import constants
@@ -28,6 +29,11 @@ from repro.core.errors import AddressError
 
 BROADCAST_PREFIX = constants.BROADCAST_PREFIX_VALUE
 FULL_ADDR_MARKER = constants.FULL_ADDR_MARKER_VALUE
+
+#: The bits of every byte value, MSB first, as driven on the DATA ring.
+BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple((value >> i) & 1 for i in range(7, -1, -1)) for value in range(256)
+)
 
 
 class ShortPrefix(int):
@@ -134,8 +140,11 @@ class Address:
     def bits(self) -> Tuple[int, ...]:
         """The address as a tuple of bits, MSB first."""
         word = self.encode()
-        n = self.n_bits
-        return tuple((word >> (n - 1 - i)) & 1 for i in range(n))
+        if self.is_short:
+            return BYTE_BITS[word]
+        return tuple(chain.from_iterable(
+            map(BYTE_BITS.__getitem__, word.to_bytes(4, "big"))
+        ))
 
     def matches(
         self,
@@ -149,14 +158,11 @@ class Address:
         engine (MemberEngine) and the transaction-level planner, so
         the two backends can never resolve different receiver sets.
         """
-        if self.is_broadcast:
+        if self.short_prefix is None:
+            return full_prefix is not None and self.full_prefix == full_prefix
+        if self.short_prefix == BROADCAST_PREFIX:
             return self.fu_id in broadcast_channels
-        if self.is_short:
-            return (
-                short_prefix is not None
-                and self.short_prefix == short_prefix
-            )
-        return full_prefix is not None and self.full_prefix == full_prefix
+        return short_prefix is not None and self.short_prefix == short_prefix
 
     @staticmethod
     def decode(word: int, n_bits: int) -> "Address":

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Tuple
 
-from repro.core.addresses import Address
+from repro.core.addresses import BYTE_BITS, Address
 from repro.core.errors import ProtocolError
 
 
@@ -69,11 +70,7 @@ def pad_to_byte(bits: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def bytes_to_bits(payload: bytes) -> Tuple[int, ...]:
     """Expand bytes into bits, MSB first, as driven on the DATA ring."""
-    bits = []
-    for byte in payload:
-        for i in range(7, -1, -1):
-            bits.append((byte >> i) & 1)
-    return tuple(bits)
+    return tuple(chain.from_iterable(map(BYTE_BITS.__getitem__, payload)))
 
 
 def bits_to_bytes(bits: Tuple[int, ...]) -> bytes:

@@ -95,10 +95,15 @@ class RxDelivery:
 
 @dataclass
 class TransactionPlan:
-    """Everything the fast backend needs to realise one bus round."""
+    """Everything a backend needs to realise one bus round.
+
+    Every time field is an offset from the round's start (the
+    mediator's self-start), so one plan serves every recurrence of its
+    round: the fast path and the batch tier both replay a plan by
+    adding the round's start time.
+    """
 
     kind: str                       # "message" or "wakeup"
-    t0: int                         # mediator self-start time
     end_ps: int                     # final control rising edge
     clock_cycles: int               # mediator risings before control
     control_cycles: int
@@ -247,20 +252,23 @@ def resolve_arbitration(
     return winner
 
 
-def _stream_bits(message: Message) -> Tuple[int, ...]:
-    return message.address_bits() + message.data_bits()
+def _stream_word(message: Message) -> Tuple[int, int]:
+    """The address and data bits a transmitter drives, MSB first, as
+    one integer and its width in bits."""
+    n_data = 8 * len(message.payload)
+    word = (message.dest.encode() << n_data) | int.from_bytes(
+        message.payload, "big"
+    )
+    return word, message.dest.n_bits + n_data
 
 
-def _stream_transitions(bits: Tuple[int, ...]) -> int:
+def _stream_transitions(word: int, width: int) -> int:
     """DATA transitions while driving: idle-high -> arbitration-low ->
-    address/data bits."""
-    count = 0
-    prev = 1
-    for value in (0,) + bits:
-        if value != prev:
-            count += 1
-        prev = value
-    return count
+    the ``width`` bits of ``word``, MSB first."""
+    driven = (0b10 << width) | word
+    # Bit i of the XOR is set where driven bits i and i + 1 differ;
+    # the mask drops the pair above the idle-high bit.
+    return ((driven ^ (driven >> 1)) & ((1 << (width + 1)) - 1)).bit_count()
 
 
 def interjection_fire_delay(
@@ -297,7 +305,6 @@ class RoundContext:
     """Inputs to :func:`plan_round`."""
 
     topology: RingTopology
-    t0: int
     #: position -> head-of-queue message for every arbitration entrant.
     requests: Dict[int, Message]
     states: Dict[int, NodeRoundState]
@@ -331,7 +338,7 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
         return _plan_wakeup_round(ctx, half, settle, full_prop)
 
     message = ctx.requests[winner]
-    stream = _stream_bits(message)
+    stream, width = _stream_word(message)
     addr_bits = message.dest.n_bits
     n_bytes = message.n_bytes
     nodes = topo.nodes
@@ -344,7 +351,7 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
     ]
 
     # --- where does the transaction end? --------------------------------
-    r_eom = 3 + len(stream)
+    r_eom = 3 + width
     candidates = [("eom", r_eom)]
     for pos in rx_positions:
         buffer_bytes = nodes[pos].rx_buffer_bytes
@@ -373,16 +380,16 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
     broken_at_mediator = winner == 0
     if runaway:
         # The mediator interjects the moment it drives rising R.
-        t_interject = ctx.t0 + 2 * r_end * half
+        t_interject = 2 * r_end * half
     elif broken_at_mediator:
         # The mediator's member cannot hold CLK; it calls straight into
         # the mediator when it latches its final bit (one ring delay
         # after the mediator drove that rising edge).
-        t_interject = ctx.t0 + 2 * r_end * half + full_prop
+        t_interject = 2 * r_end * half + full_prop
     else:
         # A member held CLK high; the mediator notices when its next
         # rising edge fails to propagate — one full cycle later.
-        t_interject = ctx.t0 + 2 * (r_end + 1) * half
+        t_interject = 2 * (r_end + 1) * half
 
     overruns = {
         pos for pos in rx_positions
@@ -401,15 +408,15 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
         # from #4; it sees the absorbed falling R+1 only if the CLK
         # holder is further around the ring than it is.
         if eom:
-            last_index = len(stream) - 1
+            last_index = width - 1
         else:
             saw_extra_falling = (
                 holder_pos is not None and winner < holder_pos
             )
             last_index = min(
-                len(stream) - 1, r_end - 3 if saw_extra_falling else r_end - 4
+                width - 1, r_end - 3 if saw_extra_falling else r_end - 4
             )
-        last_bit = stream[last_index]
+        last_bit = (stream >> (width - 1 - last_index)) & 1
     fire = t_interject + interjection_fire_delay(
         broken_at_mediator, last_bit, settle, full_prop
     )
@@ -446,7 +453,6 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
     # --- per-node timings -------------------------------------------------
     plan = TransactionPlan(
         kind="message",
-        t0=ctx.t0,
         end_ps=end_ps,
         clock_cycles=r_end,
         control_cycles=constants.CONTROL_CYCLES,
@@ -474,7 +480,7 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
         n_edges = 2 * r_end + (2 if sees_extra else 0) + 6
         prop = topo.clk_prop(q)
         edge_at = lambda i: _edge_time_at(  # noqa: E731 - tiny local helper
-            i, ctx.t0, half, r_end, tc0, prop, sees_extra, t_interject
+            i, half, r_end, tc0, prop, sees_extra, t_interject
         )
         bus_on_edge_index = None
         if not state.bus_on:
@@ -524,7 +530,8 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
         )
 
     # --- wire-activity estimate -------------------------------------------
-    stream_edges = _stream_transitions(stream[: r_end - 3])
+    driven = r_end - 3                        # stream bits on the wire
+    stream_edges = _stream_transitions(stream >> (width - driven), driven)
     toggles = interjection_fire_delay(
         broken_at_mediator, last_bit, 1, 0
     )
@@ -556,17 +563,16 @@ def _plan_wakeup_round(
         # not the mediator, drives the (0, 0) error code, so the
         # mediator's report does NOT flag a general error even though
         # the latched control bits decode to one.
-        t_interject = ctx.t0 + 4 * half
+        t_interject = 4 * half
         fire = t_interject + interjection_fire_delay(False, 1, settle, full_prop)
     else:
-        t_interject = ctx.t0 + 2 * half
+        t_interject = 2 * half
         fire = t_interject + interjection_fire_delay(True, 1, settle, full_prop)
     tc0 = fire + settle
     end_ps = tc0 + 6 * half
 
     plan = TransactionPlan(
         kind="wakeup",
-        t0=ctx.t0,
         end_ps=end_ps,
         clock_cycles=1,
         control_cycles=constants.CONTROL_CYCLES,
@@ -584,8 +590,8 @@ def _plan_wakeup_round(
         plan.node_end_at[q] = end_ps + prop
         # Edges each node sees: f1, r1, then the six control edges.
         edges = [
-            ctx.t0 + half + prop,
-            ctx.t0 + 2 * half + prop,
+            half + prop,
+            2 * half + prop,
         ] + [tc0 + k * half + prop for k in range(1, 7)]
         state = ctx.states[q]
         bus_on_index = None
@@ -607,7 +613,6 @@ def _plan_wakeup_round(
 
 def _edge_time_at(
     index: int,
-    t0: int,
     half: int,
     r_end: int,
     tc0: int,
@@ -615,7 +620,8 @@ def _edge_time_at(
     sees_extra: bool,
     t_interject: int,
 ) -> int:
-    """Arrival time of the ``index``-th CLK edge (0-based) at one node.
+    """Arrival of the ``index``-th CLK edge (0-based) at one node, as
+    an offset from the round's start.
 
     Transfer edges f1..rR arrive at every node.  When a member holds
     CLK (end of message or receiver abort), nodes between the mediator
@@ -628,12 +634,12 @@ def _edge_time_at(
         # Edge pairs: f_k at index 2k-2, r_k at index 2k-1.
         k = index // 2 + 1
         if index % 2 == 0:
-            return t0 + (2 * k - 1) * half + prop
-        return t0 + 2 * k * half + prop
+            return (2 * k - 1) * half + prop
+        return 2 * k * half + prop
     index -= 2 * r_end
     if sees_extra:
         if index == 0:
-            return t0 + (2 * r_end + 1) * half + prop  # absorbed falling
+            return (2 * r_end + 1) * half + prop  # absorbed falling
         if index == 1:
             return t_interject + prop                   # rise-back
         index -= 2

@@ -11,6 +11,10 @@ closed form by :mod:`repro.core.tlm_engine` and realised as
 * one *finalize* event that performs deliveries, transaction-result
   assembly and re-arming of queued traffic.
 
+A plan's times are offsets from the round's start, so a round that
+recurs (a burst re-sends the same message between the same awake
+nodes) is planned once and replayed from a small per-backend cache.
+
 The backend drives the same :class:`~repro.sim.scheduler.Simulator`,
 :class:`~repro.core.power_domain.PowerDomain` objects and
 :class:`~repro.core.bus.TransactionResult` plumbing as the edge
@@ -40,6 +44,11 @@ from repro.core.tlm_engine import (
     plan_round,
 )
 from repro.obs.state import OBS
+
+#: Round plans each backend keeps.  A burst cycles through a few round
+#: shapes; plans kept beyond that are never reused on traffic that does
+#: not repeat, and only cost collection time.
+ROUND_CACHE_SIZE = 8
 
 
 class FastPathBackend:
@@ -89,6 +98,14 @@ class FastPathBackend:
         self._start_event = None
         self._start_t0: Optional[int] = None
         self._tx_index = 0
+        # Recent round plans by key.  An ack_policy is a user callable
+        # on the delivered payload, so a plan that may call one is
+        # never reused.
+        self._round_cache: Optional[Dict[tuple, TransactionPlan]] = (
+            None
+            if any(node.config.ack_policy is not None for node in self.nodes)
+            else {}
+        )
         self._wire_activity = {node.name: 0 for node in self.nodes}
         # The settle every node applies between observing a
         # transaction boundary and acting (MBusNode._settle_ps).
@@ -136,6 +153,18 @@ class FastPathBackend:
     def set_anchor(self, name: Optional[str]) -> None:
         """Anchor by node name (positions here are mediator-rooted)."""
         self.anchor_pos = None if name is None else self._positions[name]
+        self._forget_rounds()
+
+    def set_max_message_bytes(self, n_bytes: int) -> None:
+        """Set the (already clamped) runaway watchdog length."""
+        self.max_message_bytes = n_bytes
+        self._forget_rounds()
+
+    def _forget_rounds(self) -> None:
+        # Plans depend on the anchor and the watchdog, which the round
+        # key leaves out.
+        if self._round_cache is not None:
+            self._round_cache.clear()
 
     # ------------------------------------------------------------------
     # Round triggering.
@@ -182,55 +211,92 @@ class FastPathBackend:
     def _begin_round(self) -> None:
         self._start_event = None
         self._start_t0 = None
+        t0 = self.sim.now
+        nodes = self.nodes
+        pulsers = self._pulsers
         # A node that raised the null pulse cannot arbitrate in its
         # own pulse round: releasing the pulse at the first clock
         # falling edge switches its line controller back to forwarding,
         # wiping any request it had driven (the edge engine therefore
         # runs a General Error round first and the message goes out in
         # the following one).
-        requests = {
-            pos: queue[0]
+        requests = tuple(
+            (pos, queue[0])
             for pos, queue in self.queues.items()
-            if queue
-            and self.nodes[pos].is_fully_awake
-            and pos not in self._pulsers
-        }
-        states = {
-            pos: NodeRoundState(
-                bus_on=node.bus_domain.is_on,
-                layer_on=node.layer_domain.is_on,
-                pending_interrupt=node.pending_interrupt,
-                is_pulser=pos in self._pulsers,
-            )
-            for pos, node in enumerate(self.nodes)
-        }
-        self._pulsers.clear()
-        ctx = RoundContext(
-            topology=self.topology,
-            t0=self.sim.now,
-            requests=requests,
-            states=states,
-            anchor_pos=self.anchor_pos,
-            max_message_bytes=self.max_message_bytes,
+            if queue and nodes[pos].is_fully_awake and pos not in pulsers
         )
-        plan = plan_round(ctx)
+        # The key names only states that differ from the awake,
+        # interrupt-free default, as batch round templates do.
+        states = tuple(
+            (pos, node.bus_domain.is_on, node.layer_domain.is_on,
+             node.pending_interrupt)
+            for pos, node in enumerate(nodes)
+            if node.pending_interrupt or not node.is_fully_awake
+        )
+        key = (requests, states, tuple(sorted(pulsers)))
+        plan = self._plan(key)
         self.active = True
         for pos, at_ps in plan.bus_wake_at.items():
-            node = self.nodes[pos]
-            reason = "interrupt" if states[pos].is_pulser else "transaction"
+            reason = "interrupt" if pos in pulsers else "transaction"
             self.sim.schedule_at(
-                at_ps, _power_on_fn(node.bus_domain, reason)
+                t0 + at_ps, _power_on_fn(nodes[pos].bus_domain, reason)
             )
         for pos, (at_ps, reason) in plan.layer_wake_at.items():
-            node = self.nodes[pos]
             self.sim.schedule_at(
-                at_ps, _power_on_fn(node.layer_domain, reason)
+                t0 + at_ps, _power_on_fn(nodes[pos].layer_domain, reason)
             )
+        pulsers.clear()
+        message = None if plan.winner is None else dict(requests)[plan.winner]
         self.sim.schedule_at(
-            max(plan.node_end_at.values()), lambda: self._finalize(plan)
+            t0 + max(plan.node_end_at.values()),
+            lambda: self._finalize(plan, t0, message),
         )
 
-    def _finalize(self, plan: TransactionPlan) -> None:
+    def _plan(self, key: tuple) -> TransactionPlan:
+        """The round's plan, reused while its key recurs.
+
+        Plan times are offsets from the round's start, so one plan
+        serves each recurrence of its (requests, non-default states,
+        pulsers) key.
+        """
+        cache = self._round_cache
+        try:
+            plan = None if cache is None else cache.get(key)
+        except TypeError:
+            # A bytearray payload is mutable, so it cannot key a plan.
+            cache = plan = None
+        if OBS.enabled:
+            OBS.metrics.inc(
+                "fastpath.round_cache_misses" if plan is None
+                else "fastpath.round_cache_hits"
+            )
+        if plan is not None:
+            return plan
+        requests, states, pulsers = key
+        round_states = {
+            pos: NodeRoundState(True, True, False, pos in pulsers)
+            for pos in range(len(self.nodes))
+        }
+        for pos, bus_on, layer_on, pending in states:
+            round_states[pos] = NodeRoundState(
+                bus_on, layer_on, pending, pos in pulsers
+            )
+        plan = plan_round(RoundContext(
+            topology=self.topology,
+            requests=dict(requests),
+            states=round_states,
+            anchor_pos=self.anchor_pos,
+            max_message_bytes=self.max_message_bytes,
+        ))
+        if cache is not None:
+            if len(cache) >= ROUND_CACHE_SIZE:
+                del cache[next(iter(cache))]
+            cache[key] = plan
+        return plan
+
+    def _finalize(
+        self, plan: TransactionPlan, t0: int, message: Optional[Message]
+    ) -> None:
         # Stay "busy" through result/delivery callbacks: the edge
         # engine fires on_tx_done/on_rx_done before its FSM returns to
         # IDLE, so e.g. node.sleep() from an on_receive handler raises
@@ -238,14 +304,16 @@ class FastPathBackend:
         # the engines idle, so the flag drops first there.
         order = sorted(plan.node_end_at, key=plan.node_end_at.get)
 
-        # Transmit outcome first at the transmitter's end-of-round.
-        if plan.winner is not None:
+        # Transmit outcome first at the transmitter's end-of-round.  A
+        # reused plan carries the message of the round it was planned
+        # for: pop and report this round's own head of queue instead.
+        if message is not None:
             tx_node = self.nodes[plan.winner]
             queue = self.queues[plan.winner]
-            if queue and queue[0] is plan.message:
+            if queue and queue[0] is message:
                 queue.popleft()
             outcome = TxOutcome(
-                message=plan.message,
+                message=message,
                 control=plan.tx_control,
                 success=plan.tx_success,
                 bytes_sent=plan.tx_bytes_sent,
@@ -254,23 +322,23 @@ class FastPathBackend:
             if tx_node.on_result is not None:
                 tx_node.on_result(tx_node, outcome)
 
-        # Deliveries, in ring-arrival order (members, then mediator).
-        for delivery in plan.rx:
-            if not delivery.delivered:
-                continue
-            node = self.nodes[delivery.position]
-            received = ReceivedMessage(
-                source_hint="",
-                dest=plan.message.dest,
-                payload=delivery.payload,
-                broadcast=plan.message.dest.is_broadcast,
-                control=delivery.control,
-                arrived_at_ps=delivery.arrived_at_ps,
-            )
-            node.inbox.append(received)
-            node.layer.deliver(received)
-            if node.on_receive is not None:
-                node.on_receive(node, received)
+            # Deliveries, in ring-arrival order (members, then mediator).
+            for delivery in plan.rx:
+                if not delivery.delivered:
+                    continue
+                node = self.nodes[delivery.position]
+                received = ReceivedMessage(
+                    source_hint="",
+                    dest=message.dest,
+                    payload=delivery.payload,
+                    broadcast=message.dest.is_broadcast,
+                    control=delivery.control,
+                    arrived_at_ps=t0 + delivery.arrived_at_ps,
+                )
+                node.inbox.append(received)
+                node.layer.deliver(received)
+                if node.on_receive is not None:
+                    node.on_receive(node, received)
 
         # Interrupt servicing at each node's observed transaction end.
         self.active = False
@@ -283,8 +351,8 @@ class FastPathBackend:
 
         report = MediatorReport(
             index=self._tx_index,
-            start_ps=plan.t0,
-            end_ps=plan.end_ps,
+            start_ps=t0,
+            end_ps=t0 + plan.end_ps,
             clock_cycles=plan.clock_cycles,
             control_cycles=plan.control_cycles,
             control_bits=tuple(plan.control.value),
@@ -298,14 +366,14 @@ class FastPathBackend:
         if OBS.enabled:
             OBS.metrics.inc("fastpath.rounds")
 
-        request_falls = self._pump_after_round(plan)
-        self._schedule_auto_sleeps(plan, request_falls)
+        request_falls = self._pump_after_round(plan, t0)
+        self._schedule_auto_sleeps(plan, t0, request_falls)
 
     # ------------------------------------------------------------------
     # Post-round housekeeping.
     # ------------------------------------------------------------------
     def _schedule_auto_sleeps(
-        self, plan: TransactionPlan, request_falls: Dict[int, int]
+        self, plan: TransactionPlan, t0: int, request_falls: Dict[int, int]
     ) -> None:
         settle = self._settle_ps
         for pos, node in enumerate(self.nodes):
@@ -313,7 +381,7 @@ class FastPathBackend:
                 continue
             if self.queues[pos] or node.pending_interrupt:
                 continue
-            at_ps = max(self.sim.now, plan.node_end_at[pos] + settle)
+            at_ps = max(self.sim.now, t0 + plan.node_end_at[pos] + settle)
             # The edge engine aborts the sleep if another node's bus
             # request (a DATA falling edge) reaches this node before
             # its settle expires — the engine is "busy" again and the
@@ -340,7 +408,9 @@ class FastPathBackend:
         if node.bus_domain.is_on:
             node.bus_domain.power_off("auto-sleep")
 
-    def _pump_after_round(self, plan: TransactionPlan) -> Dict[int, int]:
+    def _pump_after_round(
+        self, plan: TransactionPlan, t0: int
+    ) -> Dict[int, int]:
         """Arm the next round from whatever traffic remains queued.
 
         Mirrors the edge engine's end-of-transaction choreography:
@@ -354,14 +424,14 @@ class FastPathBackend:
         """
         n = self.topology.n
         settle = self._settle_ps
-        return_to_idle = plan.end_ps + 2 * self.timing.ring_delay_ps(n)
+        return_to_idle = t0 + plan.end_ps + 2 * self.timing.ring_delay_ps(n)
         candidates: List[int] = []
         request_falls: Dict[int, int] = {}
         for pos, node in enumerate(self.nodes):
             wants_bus = bool(self.queues[pos]) or node.pending_interrupt
             if not wants_bus:
                 continue
-            t_end = plan.node_end_at[pos]
+            t_end = t0 + plan.node_end_at[pos]
             if node.is_fully_awake and self.queues[pos]:
                 if pos == 0:
                     # The mediator's member starts the clock directly;

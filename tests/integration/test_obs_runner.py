@@ -130,6 +130,31 @@ class TestBackendMetrics:
         assert counters["fastpath.rounds"] >= 1
         assert counters["tlm.plan_round_calls"] >= 1
 
+    def test_fastpath_round_cache_counters(self):
+        session, _ = traced_run("fast")
+        again, _ = traced_run("fast")
+        counters = session.metrics.snapshot()["counters"]
+        hits = counters["fastpath.round_cache_hits"]
+        misses = counters["fastpath.round_cache_misses"]
+        assert hits + misses == counters["fastpath.rounds"] == 3
+        # The burst repeats one round: planned once, replayed twice.
+        assert (hits, misses) == (2, 1)
+        assert counters["tlm.plan_round_calls"] == misses
+
+        def deterministic(snapshot):
+            return {
+                family: {
+                    name: value for name, value in values.items()
+                    if "wall" not in name
+                }
+                for family, values in snapshot.items()
+                if family in ("counters", "gauges")
+            }
+
+        assert deterministic(again.metrics.snapshot()) == deterministic(
+            session.metrics.snapshot()
+        )
+
     def test_batch_metrics(self):
         session, _ = traced_run("batch")
         snap = session.metrics.snapshot()

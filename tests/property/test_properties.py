@@ -3,7 +3,13 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.addresses import Address
-from repro.core.messages import bits_to_bytes, bytes_to_bits, pad_to_byte
+from repro.core.messages import (
+    Message,
+    bits_to_bytes,
+    bytes_to_bits,
+    pad_to_byte,
+)
+from repro.core.tlm_engine import _stream_transitions, _stream_word
 from repro.core.transaction import TransactionModel
 from repro.timing.overhead import OVERHEAD_CURVES, overhead_bits
 from repro.timing.throughput import (
@@ -29,6 +35,99 @@ class TestBitPackingProperties:
         assert len(padded) % 8 == 0
         assert 0 <= len(padded) - len(bits) <= 7
         assert padded[: len(bits)] == bits
+
+
+def reference_bytes_to_bits(payload):
+    """Bit-by-bit expansion, MSB first: the reference the table-driven
+    encoders must reproduce."""
+    bits = []
+    for byte in payload:
+        for i in range(7, -1, -1):
+            bits.append((byte >> i) & 1)
+    return tuple(bits)
+
+
+def reference_address_bits(address):
+    word = address.encode()
+    n = address.n_bits
+    return tuple((word >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def reference_stream_transitions(bits):
+    count = 0
+    prev = 1
+    for value in (0,) + bits:
+        if value != prev:
+            count += 1
+        prev = value
+    return count
+
+
+class TestTableDrivenBitsMatchReference:
+    def test_every_byte_value(self):
+        for value in range(256):
+            payload = bytes([value])
+            assert bytes_to_bits(payload) == reference_bytes_to_bits(payload)
+
+    def test_every_length_up_to_64(self):
+        for length in range(65):
+            payload = bytes((37 * i + length) % 256 for i in range(length))
+            assert bytes_to_bits(payload) == reference_bytes_to_bits(payload)
+
+    def test_kilobyte_payload(self):
+        payload = bytes((i * 131 + 7) % 256 for i in range(1024))
+        bits = bytes_to_bits(payload)
+        assert len(bits) == 8 * 1024
+        assert bits == reference_bytes_to_bits(payload)
+
+    @given(st.binary(max_size=64))
+    def test_random_payloads(self, payload):
+        assert bytes_to_bits(payload) == reference_bytes_to_bits(payload)
+        assert bytes_to_bits(bytearray(payload)) == bytes_to_bits(payload)
+
+    @given(st.integers(0, 0xE), st.integers(0, 0xF))
+    def test_short_address_bits(self, prefix, fu_id):
+        address = Address.short(prefix, fu_id)
+        assert address.bits() == reference_address_bits(address)
+
+    @given(st.integers(0, (1 << 20) - 1), st.integers(0, 0xF))
+    def test_full_address_bits(self, prefix, fu_id):
+        address = Address.full(prefix, fu_id)
+        assert address.bits() == reference_address_bits(address)
+
+    @given(
+        st.one_of(
+            st.builds(Address.short, st.integers(0, 0xE), st.integers(0, 0xF)),
+            st.builds(
+                Address.full, st.integers(0, (1 << 20) - 1), st.integers(0, 0xF)
+            ),
+        ),
+        st.binary(max_size=64),
+        st.data(),
+    )
+    def test_stream_word_and_transitions(self, dest, payload, data):
+        bits = reference_address_bits(dest) + reference_bytes_to_bits(payload)
+        word, width = _stream_word(Message(dest, payload))
+        assert width == len(bits)
+        assert reference_bytes_to_bits(
+            word.to_bytes(width // 8, "big")
+        ) == bits
+        # The planner counts the transitions of a prefix of the stream
+        # (the bits driven before the interjection).
+        k = data.draw(st.integers(0, width))
+        assert _stream_transitions(
+            word >> (width - k), k
+        ) == reference_stream_transitions(bits[:k])
+
+    def test_stream_transitions_of_kilobyte_stream(self):
+        dest = Address.full(0x12345, 7)
+        payload = bytes((i * 131 + 7) % 256 for i in range(1024))
+        bits = reference_address_bits(dest) + reference_bytes_to_bits(payload)
+        word, width = _stream_word(Message(dest, payload))
+        for k in (0, 1, 33, 1000, width - 1, width):
+            assert _stream_transitions(
+                word >> (width - k), k
+            ) == reference_stream_transitions(bits[:k])
 
 
 class TestAddressProperties:
