@@ -3,19 +3,19 @@
 Every instrumentation site on a hot path hides behind a single
 ``if OBS.enabled`` attribute check.  The fast path's *per-round*
 sites are the round-cache hit/miss counter in
-``FastPathBackend._plan`` and the ``fastpath.rounds`` counter in
-``_finalize``.  The :func:`repro.core.tlm_engine.plan_round` wrapper
-runs only on a round-cache miss: the fast path plans a round once and
-replays it while it recurs, so a 60-message fig14 burst calls it a
-few times, not once per round.  This guard measures what the wrapper
+``FastPathBackend._begin_round`` and the ``fastpath.rounds`` counter
+in ``_finalize``.  The :func:`repro.core.tlm_engine.plan_round`
+wrapper runs only on a round-shape miss: both tiers plan a shape once
+per process and replay it while it recurs, so a 60-message fig14
+burst calls it a few times, not once per round.  This guard measures what the wrapper
 costs when observability is off (the default, and the only state
 benchmarks and campaigns run in):
 
 * **guarded arm** — the shipped code, ``OBS`` disabled;
 * **bypassed arm** — ``plan_round`` monkeypatched back to
   ``_plan_round_impl`` in every module that imported it by name
-  (``tlm_engine`` itself, the fast path, the batch executor),
-  emulating the pre-observability build.
+  (``tlm_engine`` itself and ``round_shape``, which plans for both
+  tiers), emulating the pre-observability build.
 
 Both arms are interleaved best-of-N on the Figure 14 burst so they
 see the same machine noise, with a repeat ladder to shed noisy
@@ -24,7 +24,7 @@ sessions before failing; the guarded arm must stay within
 
 The batch and edge rows are recorded but not asserted: the batch
 merge loop has *no* per-round guard (its counters fire once per run,
-and ``plan_round`` only runs on template misses), and the edge
+and ``plan_round`` only runs on shape misses), and the edge
 scheduler guards once per ``run()`` call — on both, the paired
 difference is dominated by per-process code-layout noise (observed
 swinging ±7 % in either direction between sessions at best-of-80),
@@ -69,26 +69,16 @@ REPEAT_LADDER = (7, 25, 80)
 def bypassed_plan_round():
     """Re-link ``plan_round`` to its unwrapped implementation in every
     importer, emulating the pre-observability build."""
-    import repro.batch.executor as batch_executor
+    import repro.core.round_shape as round_shape
     import repro.core.tlm_engine as tlm_engine
-    import repro.sim.fastpath as fastpath
 
-    saved = (
-        tlm_engine.plan_round,
-        fastpath.plan_round,
-        batch_executor.plan_round,
-    )
+    saved = (tlm_engine.plan_round, round_shape.plan_round)
     tlm_engine.plan_round = tlm_engine._plan_round_impl
-    fastpath.plan_round = tlm_engine._plan_round_impl
-    batch_executor.plan_round = tlm_engine._plan_round_impl
+    round_shape.plan_round = tlm_engine._plan_round_impl
     try:
         yield
     finally:
-        (
-            tlm_engine.plan_round,
-            fastpath.plan_round,
-            batch_executor.plan_round,
-        ) = saved
+        tlm_engine.plan_round, round_shape.plan_round = saved
 
 
 def measure_pair(mode: str, n_messages: int, repeats: int):

@@ -27,9 +27,9 @@ from repro.batch.compiler import (
 from repro.batch.executor import (
     BatchExecutor,
     BatchResult,
-    RoundTemplate,
     materialize,
     power_and_wire,
+    round_message,
     round_transaction,
 )
 
@@ -40,13 +40,13 @@ __all__ = [
     "CompiledWorkload",
     "KIND_INTERRUPT",
     "KIND_POST",
-    "RoundTemplate",
     "cache_stats",
     "clear_cache",
     "compile_system_cached",
     "compile_workload",
     "materialize",
     "power_and_wire",
+    "round_message",
     "round_transaction",
     "spec_digest",
 ]

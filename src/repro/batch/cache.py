@@ -4,10 +4,10 @@ Campaign trials are content-addressed by the SHA-256 of their
 canonical documents (``repro.campaign.trial.Trial.key``); the spec
 document is one component of that key.  This cache addresses compiled
 systems by the same canonical-JSON digest of the spec document, so a
-campaign whose trials share a topology compiles it **once** — and,
-because the round-template cache lives on the
-:class:`~repro.batch.compiler.CompiledSystem` itself, later trials
-start with every round shape the earlier ones discovered.
+campaign whose trials share a topology compiles it **once**.  Round
+shapes are cached apart from compiled systems, in the process-wide
+:mod:`repro.core.round_shape` store keyed on the ring facts;
+:func:`clear_cache` empties both.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import threading
 from collections import OrderedDict
 
 from repro.batch.compiler import CompiledSystem
+from repro.core.round_shape import clear_shapes, shape_count
 from repro.obs.state import OBS
 from repro.scenario.spec import SystemSpec
 
@@ -70,15 +71,15 @@ def cache_stats() -> dict:
             "entries": len(_cache),
             "hits": _hits,
             "misses": _misses,
-            "templates": sum(
-                len(csys.template_list) for csys in _cache.values()
-            ),
+            "shapes": shape_count(),
         }
 
 
 def clear_cache() -> None:
+    """Forget every compiled system and every round shape."""
     global _hits, _misses
     with _lock:
         _cache.clear()
         _hits = 0
         _misses = 0
+    clear_shapes()

@@ -32,6 +32,7 @@ from repro.core.bus import check_anchor, check_prefixes
 from repro.core.errors import ConfigurationError
 from repro.core.messages import Message
 from repro.core.node import check_node
+from repro.core.round_shape import ShapeCache, shape_cache
 from repro.core.tlm_engine import NODE_SETTLE_FACTOR, RingTopology, TLMNode
 from repro.scenario.spec import NodeSpec, SystemSpec
 from repro.scenario.workload import InterruptEvent, PostEvent, ScheduleEvent
@@ -49,9 +50,10 @@ class CompiledSystem:
     Everything the executor touches per event is an integer indexed by
     ring position; the only object-valued companions are the interned
     node names (for report assembly) and the planner-facing
-    :class:`RingTopology`.  Instances also carry the mutable round
-    ``templates`` cache, so a spec compiled once per campaign shares
-    warm templates across every trial that uses it.
+    :class:`RingTopology`.  ``shapes`` is the ring's entry in the
+    process-wide :func:`~repro.core.round_shape.shape_cache` store, so
+    every trial on an equal ring, on either tier, shares its round
+    shapes.
     """
 
     __slots__ = (
@@ -62,12 +64,11 @@ class CompiledSystem:
         "broadcast_channels",
         # derived
         "names", "spec_order_names", "position_of", "topology",
-        "anchor_pos", "max_message_bytes", "settle_ps",
-        # mutable caches shared by every workload compiled against
-        # this system: round templates (see executor) and the global
-        # message intern table (workload ``ref`` values index it, so
-        # template keys are pure-integer and stable across trials)
-        "templates", "template_list", "message_ids", "message_table",
+        "anchor_pos", "max_message_bytes", "settle_ps", "request_ps",
+        "pulse_ps", "shapes",
+        # the message intern table shared by every workload compiled
+        # against this system (workload ``ref`` values index it)
+        "message_ids", "message_table",
     )
 
     def __init__(self, spec: SystemSpec) -> None:
@@ -139,8 +140,22 @@ class CompiledSystem:
             else constants.clamp_max_message_bytes(spec.max_message_bytes)
         )
         self.settle_ps = NODE_SETTLE_FACTOR * self.timing.node_delay_ps
-        self.templates: Dict[tuple, object] = {}
-        self.template_list: List[object] = []
+        # From a post (an awake node requests the bus after its settle)
+        # or a null pulse (a sleeping node) to the round start it asks
+        # for: the hop to the mediator, then the mediator's wakeup.
+        wakeup = self.timing.mediator_wakeup_ps
+        self.request_ps = tuple(
+            self.settle_ps + wakeup
+            + (0 if p == 0 else self.topology.member_to_mediator(p))
+            for p in range(self.n)
+        )
+        self.pulse_ps = tuple(
+            self.topology.member_to_mediator(p) + wakeup
+            for p in range(self.n)
+        )
+        self.shapes: ShapeCache = shape_cache(
+            self.topology, self.anchor_pos, self.max_message_bytes
+        )
         self.message_ids: Dict[Message, int] = {}
         self.message_table: List[Message] = []
 
@@ -168,12 +183,10 @@ class CompiledWorkload:
     index into ``messages`` (``-1`` for interrupts).  Messages are
     interned on the *compiled system* (``messages`` is a snapshot of
     its table), so equal messages share one integer id across every
-    workload compiled against the same system — which keeps the
-    executor's template keys integer-only and valid across campaign
-    trials.  Index order *is* scheduler order: the runner schedules
-    all workload events before the simulation starts, so their
-    insertion sequence — and therefore their priority at equal
-    timestamps — is exactly this array order.
+    workload compiled against the same system.  Index order *is*
+    scheduler order: the runner schedules all workload events before
+    the simulation starts, so their insertion sequence — and therefore
+    their priority at equal timestamps — is exactly this array order.
     """
 
     __slots__ = ("t_ps", "pos", "kind", "ref", "messages")

@@ -6,37 +6,43 @@ the object graph entirely: it merges three integer streams — the
 compiled workload arrays, a single pending round-start slot, and a
 heap of pending auto-sleeps — in exactly the ``(time, seq)`` order the
 :class:`~repro.sim.scheduler.Simulator` would have used, and resolves
-each round from a **template**.
+each round from a :class:`~repro.core.round_shape.RoundShape`.
 
-A template is one round shape planned *once* by the same analytic
-:func:`~repro.core.tlm_engine.plan_round` the fast path uses.  Every
-time the planner produces is an offset from the round start (constant
-for a fixed topology, request set, power state and pulser set), so a
-template keyed by
+A shape is one round planned *once* by the same analytic
+:func:`~repro.core.tlm_engine.plan_round` the fast path uses, with the
+payload taken out.  Every time it holds is an offset from the round
+start, and once arbitration is resolved none depends on the payload
+bytes, so a shape keyed by
 
-    (sorted (position, message) requests,
-     sorted non-default power/interrupt states,
+    (winner, destination class, payload length, last driven bit,
+     sorted non-default (pos, bus_on, layer_on, pending) states,
      sorted pulser positions)
 
-replays at any ``t0`` by pure integer addition.  Campaign bursts
-resolve to a handful of templates executed thousands of times, which
-is where the tier-3 throughput comes from; the template cache lives on
-the :class:`~repro.batch.compiler.CompiledSystem`, so trials sharing a
-compiled spec share warm templates.
+replays at any ``t0`` by integer addition.  The destination class is
+the prefix and address width (plus the FU-ID of a broadcast, which
+names the channel); the last driven bit sets the interjection's fire
+delay.  The round's own message is logged beside its shape, and its
+delivered slice and stream edges are applied when the report is
+materialised.  Shapes live in the process-wide
+:func:`~repro.core.round_shape.shape_cache` store the fast path also
+resolves through, so trials on an equal ring share warm shapes — random
+traffic on 8 nodes needs under 2,000 of them.
 
 Equivalence contract (enforced by ``tests/integration`` and the
 three-way diffcheck fuzz): byte-identical transaction signatures,
 delivery sets and wake counts versus the fast path.  The post-round
 choreography below — pulser exclusion, keep-earliest start merging,
-return-to-idle pumping, auto-sleep suppression by in-flight request
-falls — mirrors :class:`~repro.sim.fastpath.FastPathBackend` line for
-line; deviations are bugs, not optimisations.
+return-to-idle pumping, null-pulse and auto-sleep suppression by
+in-flight request falls — mirrors
+:class:`~repro.sim.fastpath.FastPathBackend` line for line; deviations
+are bugs, not optimisations.
 """
 
 from __future__ import annotations
 
 import time as _time
 from collections import deque
+from bisect import bisect_right
 from heapq import heappop, heappush
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
@@ -48,61 +54,14 @@ from repro.batch.compiler import (
 )
 from repro.core.bus import TransactionResult
 from repro.core.errors import BusLockedError, WallClockTimeout
-from repro.core.messages import ControlCode, ReceivedMessage
-from repro.core.tlm_engine import NodeRoundState, RoundContext, plan_round
+from repro.core.messages import Message, ReceivedMessage
+from repro.core.round_shape import RoundShape, ShapeCache
+from repro.core.tlm_engine import resolve_arbitration
 from repro.obs.state import OBS
 from repro.sim.scheduler import SimulationError
 
 #: Same runaway guard as ``Simulator.run(max_events=...)``.
 MAX_STEPS = 50_000_000
-
-
-class RoundTemplate:
-    """One planned round shape; every time field is a ``t0`` offset."""
-
-    __slots__ = (
-        "tid", "key", "winner", "message", "ok", "control", "general_error",
-        "error_reason", "clock_cycles", "control_cycles", "end_off",
-        "fin_off", "node_end_off", "end_order", "bus_wake", "layer_wake",
-        "rx", "rx_broadcast", "wire_row",
-    )
-
-    def __init__(self, tid: int, key: tuple, csys: CompiledSystem, plan) -> None:
-        self.tid = tid
-        self.key = key
-        self.winner = plan.winner
-        self.message = plan.message
-        self.control = plan.control
-        self.ok = (
-            plan.control is ControlCode.EOM_ACK and not plan.general_error
-        )
-        self.general_error = plan.general_error
-        self.error_reason = plan.error_reason
-        self.clock_cycles = plan.clock_cycles
-        self.control_cycles = plan.control_cycles
-        self.end_off = plan.end_ps
-        self.fin_off = max(plan.node_end_at.values())
-        self.node_end_off = tuple(
-            plan.node_end_at[q] for q in range(csys.n)
-        )
-        self.end_order = tuple(
-            sorted(plan.node_end_at, key=plan.node_end_at.get)
-        )
-        self.bus_wake = tuple(plan.bus_wake_at.items())
-        self.layer_wake = tuple(
-            (pos, at) for pos, (at, _reason) in plan.layer_wake_at.items()
-        )
-        self.rx = tuple(
-            (csys.names[d.position], d.payload, d.control, d.arrived_at_ps)
-            for d in plan.rx
-            if d.delivered
-        )
-        self.rx_broadcast = (
-            plan.message is not None and plan.message.dest.is_broadcast
-        )
-        self.wire_row = tuple(
-            plan.wire_activity.get(q, 0) for q in range(csys.n)
-        )
 
 
 class BatchResult:
@@ -115,8 +74,8 @@ class BatchResult:
 
     def __init__(self, round_log, hit_counts, end_ps, steps,
                  bus_on_ps, layer_on_ps, bus_wakeups, layer_wakeups):
-        self.round_log = round_log            # [(t0, RoundTemplate), ...]
-        self.hit_counts = hit_counts          # {tid: executions this run}
+        self.round_log = round_log            # [(t0, shape, message ref)]
+        self.hit_counts = hit_counts          # {(shape, ref): executions}
         self.end_ps = end_ps
         self.steps = steps
         self.bus_on_ps = bus_on_ps            # per-position totals
@@ -131,6 +90,7 @@ class BatchExecutor:
     def __init__(self, csys: CompiledSystem, cwl: CompiledWorkload) -> None:
         self.csys = csys
         self.cwl = cwl
+        self.shapes: ShapeCache = csys.shapes
         n = csys.n
         self.queues: List[deque] = [deque() for _ in range(n)]
         self.backlog: set = set()
@@ -148,7 +108,7 @@ class BatchExecutor:
         self.bus_wakes = [0 if g else 1 for g in csys.power_gated]
         self.layer_wakes = [0 if g else 1 for g in csys.power_gated]
         # Positions whose (bus, layer, pending) state differs from the
-        # always-on default — the only ones a template key must name.
+        # always-on default — the only ones a shape key must name.
         self.dirty: set = {p for p in range(n) if csys.power_gated[p]}
         self.gated_auto = tuple(
             p for p in range(n)
@@ -168,8 +128,8 @@ class BatchExecutor:
         self.steps = 0
         self.until: Optional[int] = None
         self.max_steps = MAX_STEPS
-        self.round_log: List[Tuple[int, RoundTemplate]] = []
-        self.hit_counts: Dict[int, int] = {}
+        self.round_log: List[Tuple[int, RoundShape, int]] = []
+        self.hit_counts: Dict[Tuple[RoundShape, int], int] = {}
 
     # ------------------------------------------------------------------
     # Main merge loop.
@@ -185,7 +145,6 @@ class BatchExecutor:
         )
         self.until = until
         self.max_steps = max_steps
-        check_wall = wall_deadline is not None
         sleeps = self.sleeps
         while True:
             if self.wi < self.wl_n:
@@ -212,25 +171,37 @@ class BatchExecutor:
                 break
             if until is not None and best_t > until:
                 break
-            self.steps += 1
-            if self.steps > max_steps:
-                raise SimulationError(
-                    f"exceeded {max_steps} events; likely oscillation"
-                )
-            if check_wall and not self.steps & 255:
-                if _time.perf_counter() > wall_deadline:
-                    raise WallClockTimeout(
-                        f"batch execution exceeded its wall-clock budget "
-                        f"after {self.steps} steps at t={best_t} ps"
-                    )
+            self._step(best_t, wall_deadline)
             self.now = best_t
             if src == 1:
+                # Every workload event due at this instant, in order:
+                # runtime seqs all follow the workload's, and a post or
+                # interrupt schedules nothing earlier than itself.
                 i = self.wi
-                self.wi += 1
-                if wl_kind[i] == KIND_POST:
-                    self._post(best_t, wl_pos[i], wl_ref[i])
-                else:
-                    self._interrupt(best_t, wl_pos[i])
+                end = bisect_right(wl_t, best_t, i)
+                while True:
+                    p = wl_pos[i]
+                    if wl_kind[i] == KIND_POST:
+                        self._post(best_t, p, wl_ref[i])
+                        # More posts from p at this instant ask for the
+                        # same start as this one: they only queue.
+                        j = i + 1
+                        while (
+                            j < end and wl_pos[j] == p
+                            and wl_kind[j] == KIND_POST
+                        ):
+                            j += 1
+                        if j > i + 1:
+                            self.queues[p].extend(wl_ref[i + 1:j])
+                            self._step(best_t, wall_deadline, j - i - 1)
+                        i = j
+                    else:
+                        self._interrupt(best_t, p)
+                        i += 1
+                    if i == end:
+                        break
+                    self._step(best_t, wall_deadline)
+                self.wi = i
             elif src == 2:
                 self.start_t0 = None
                 self._run_round(best_t)
@@ -267,6 +238,23 @@ class BatchExecutor:
             layer_wakeups=list(self.layer_wakes),
         )
 
+    def _step(
+        self, t: int, wall_deadline: Optional[float], count: int = 1
+    ) -> None:
+        """Count ``count`` dispatched events against the runaway guard
+        and, every 256 events, the wall-clock budget."""
+        steps = self.steps = self.steps + count
+        if steps > self.max_steps:
+            raise SimulationError(
+                f"exceeded {self.max_steps} events; likely oscillation"
+            )
+        if wall_deadline is not None and steps >> 8 != (steps - count) >> 8:
+            if _time.perf_counter() > wall_deadline:
+                raise WallClockTimeout(
+                    f"batch execution exceeded its wall-clock budget "
+                    f"after {self.steps} steps at t={t} ps"
+                )
+
     def _is_idle(self) -> bool:
         return (
             self.start_t0 is None
@@ -287,11 +275,13 @@ class BatchExecutor:
         self.queues[p].append(ref)
         self.backlog.add(p)
         if self.bus_on[p] and self.layer_on[p]:
-            csys = self.csys
-            trigger = t + csys.settle_ps + (
-                0 if p == 0 else csys.topology.member_to_mediator(p)
-            )
-            self._schedule_start(trigger + csys.timing.mediator_wakeup_ps)
+            # _schedule_start, inlined: a burst posts many at once.
+            t0 = t + self.csys.request_ps[p]
+            start_t0 = self.start_t0
+            if start_t0 is None or t0 < start_t0:
+                self.start_t0 = t0
+                self.seq += 1
+                self.start_seq = self.seq
         else:
             self._raise_pulse(t, p)
 
@@ -306,9 +296,7 @@ class BatchExecutor:
         self.pending_set.add(p)
         self.dirty.add(p)
         self.pulsers.add(p)
-        csys = self.csys
-        trigger = t + csys.topology.member_to_mediator(p)
-        self._schedule_start(trigger + csys.timing.mediator_wakeup_ps)
+        self._schedule_start(t + self.csys.pulse_ps[p])
 
     def _schedule_start(self, t0: int) -> None:
         # Keep-earliest merge of the single start slot; a reschedule
@@ -333,71 +321,66 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Round execution.
     # ------------------------------------------------------------------
-    def _template(self) -> RoundTemplate:
+    def _shape(self) -> Tuple[RoundShape, int]:
+        """The round starting now: its shape and the winner's message
+        ref (``-1`` for a null round)."""
         csys = self.csys
         bus_on, layer_on = self.bus_on, self.layer_on
         pulsers = self.pulsers
         queues = self.queues
-        # Requests keyed by the system-interned message id: integer-
-        # only keys, stable across every trial sharing this csys.
-        req_items = tuple(
-            (p, queues[p][0])
-            for p in sorted(self.backlog)
+        requesters = [
+            p for p in sorted(self.backlog)
             if bus_on[p] and layer_on[p] and p not in pulsers
-        )
+        ]
+        messages = csys.message_table
+        if not requesters:
+            winner = None
+            ref = -1
+        elif len(requesters) == 1:
+            winner = requesters[0]
+            ref = queues[winner][0]
+        else:
+            winner = resolve_arbitration(
+                csys.n,
+                {p: messages[queues[p][0]] for p in requesters},
+                csys.anchor_pos,
+            )
+            ref = queues[winner][0]
+        message = None if ref < 0 else messages[ref]
         dirty = self.dirty
-        state_key = tuple(sorted(
+        states = tuple(sorted(
             (p, bus_on[p], layer_on[p], self.pending[p])
             for p in dirty
         )) if dirty else ()
-        key = (
-            req_items,
-            state_key,
+        shapes = self.shapes
+        key = shapes.key(
+            winner, message, states,
             tuple(sorted(pulsers)) if pulsers else (),
         )
-        tpl = csys.templates.get(key)
+        shape = shapes.get(key)
         if OBS.enabled:
             OBS.metrics.inc(
-                "batch.template_hits" if tpl is not None
+                "batch.template_hits" if shape is not None
                 else "batch.template_misses"
             )
-        if tpl is None:
-            messages = csys.message_table
-            states = {
-                q: NodeRoundState(
-                    bus_on=bus_on[q],
-                    layer_on=layer_on[q],
-                    pending_interrupt=self.pending[q],
-                    is_pulser=q in pulsers,
-                )
-                for q in range(csys.n)
-            }
-            plan = plan_round(RoundContext(
-                topology=csys.topology,
-                requests={p: messages[r] for p, r in req_items},
-                states=states,
-                anchor_pos=csys.anchor_pos,
-                max_message_bytes=csys.max_message_bytes,
-            ))
-            tpl = RoundTemplate(len(csys.template_list), key, csys, plan)
-            csys.templates[key] = tpl
-            csys.template_list.append(tpl)
-        return tpl
+        if shape is None:
+            shape = shapes.add(key, message)
+        return shape, ref
 
     def _run_round(self, t0: int) -> None:
         csys = self.csys
-        tpl = self._template()
+        shape, ref = self._shape()
         self.pulsers.clear()
-        fin_t = t0 + tpl.fin_off
+        fin_t = t0 + shape.fin_ps
         # Hierarchical wakeups, applied eagerly: nothing reads power
         # state again until the round has finished.
-        for p, off in tpl.bus_wake:
+        for p, off in shape.bus_wake:
             self.bus_on[p] = True
             self.bus_wakes[p] += 1
             self.bus_since[p] = t0 + off
             self.steps += 1
             self._refresh(p)
-        for p, off in tpl.layer_wake:
+        for p, off, _reason in shape.layer_wake:
             self.layer_on[p] = True
             self.layer_wakes[p] += 1
             self.layer_since[p] = t0 + off
@@ -430,18 +413,19 @@ class BatchExecutor:
         self.steps += 1
         queues = self.queues
         backlog = self.backlog
-        if tpl.winner is not None:
-            queue = queues[tpl.winner]
+        if shape.winner is not None:
+            queue = queues[shape.winner]
             queue.popleft()
             if not queue:
-                backlog.discard(tpl.winner)
-        self.round_log.append((t0, tpl))
-        self.hit_counts[tpl.tid] = self.hit_counts.get(tpl.tid, 0) + 1
+                backlog.discard(shape.winner)
+        self.round_log.append((t0, shape, ref))
+        hit_counts = self.hit_counts
+        hit_counts[shape, ref] = hit_counts.get((shape, ref), 0) + 1
         bus_on, layer_on = self.bus_on, self.layer_on
         pending, pending_set = self.pending, self.pending_set
         # Interrupt servicing at each node's observed transaction end.
         if pending_set:
-            for p in tpl.end_order:
+            for p in shape.end_order:
                 if pending[p] and bus_on[p] and layer_on[p]:
                     pending[p] = False
                     pending_set.discard(p)
@@ -451,17 +435,18 @@ class BatchExecutor:
         topology = csys.topology
         settle = csys.settle_ps
         return_to_idle = (
-            t0 + tpl.end_off + 2 * csys.timing.ring_delay_ps(csys.n)
+            t0 + shape.end_ps + 2 * csys.timing.ring_delay_ps(csys.n)
         )
         candidates: List[int] = []
         request_falls: Dict[int, int] = {}
-        node_end_off = tpl.node_end_off
+        node_end = shape.node_end
         actors = (
             sorted(backlog) if not pending_set
             else sorted(backlog | pending_set)
         )
+        sleepers: List[Tuple[int, int]] = []
         for p in actors:
-            t_end = t0 + node_end_off[p]
+            t_end = t0 + node_end[p]
             if bus_on[p] and layer_on[p] and queues[p]:
                 if p == 0:
                     candidates.append(t_end + settle)
@@ -475,10 +460,17 @@ class BatchExecutor:
                 pending[p] = True
                 pending_set.add(p)
                 self.dirty.add(p)
-                self.pulsers.add(p)
-                request_falls[p] = t_end + settle
-                arrival = t_end + settle + topology.member_to_mediator(p)
-                candidates.append(max(arrival, return_to_idle))
+                sleepers.append((t_end + settle, p))
+        # Null pulses in drive order; a node an earlier fall already
+        # reached is busy and stays pending without pulsing.
+        for at, p in sorted(sleepers):
+            if topology.fall_reaches(request_falls, p, at):
+                continue
+            self.pulsers.add(p)
+            request_falls[p] = at
+            candidates.append(
+                max(at + topology.member_to_mediator(p), return_to_idle)
+            )
         if candidates:
             self._schedule_start(
                 min(candidates) + csys.timing.mediator_wakeup_ps
@@ -487,19 +479,13 @@ class BatchExecutor:
         # timers, inlined).  Another node's request fall reaching a
         # node before its settle expires cancels the sleep (the node
         # rides into the next round without a fresh wakeup).
-        hop = topology.hop_delay
         for p in self.gated_auto:
             if queues[p] or pending[p]:
                 continue
-            at = t0 + node_end_off[p] + settle
+            at = t0 + node_end[p] + settle
             if at < fin_t:
                 at = fin_t
-            suppressed = False
-            for q, tq in request_falls.items():
-                if q != p and tq + hop(q, p) <= at:
-                    suppressed = True
-                    break
-            if suppressed:
+            if topology.fall_reaches(request_falls, p, at):
                 continue
             self.seq += 1
             heappush(self.sleeps, (at, self.seq, p))
@@ -507,13 +493,13 @@ class BatchExecutor:
         # Steady-state replay: when the round leaves the system in a
         # state that reproduces it — one active requester, no pending
         # pulses, no dirty power state — each following identical-
-        # message round is this template shifted by a constant period,
+        # message round is this shape shifted by a constant period,
         # so a whole run of them resolves with integer arithmetic
         # instead of re-entering the merge loop per round.  Two shapes
         # qualify: the all-on steady state (fleet campaigns), and the
         # wake/sleep limit cycle (the fig14 burst: one gated receiver
         # wakes for each delivery and auto-sleeps between rounds).
-        w = tpl.winner
+        w = shape.winner
         start_t0 = self.start_t0
         if (
             w is None
@@ -531,31 +517,34 @@ class BatchExecutor:
             # Limit-cycle shape: exactly one gated node sleeps between
             # rounds and is rewoken by each delivery.  The sleep must
             # genuinely fire before the next start (strictly earlier),
-            # and the template must wake exactly that node.
+            # and the shape must wake exactly that node.
             if len(sleeps) != 1:
                 return
             t_sl, _sseq, p_s = sleeps[0]
             if (
                 p_s == w
                 or t_sl >= start_t0
-                or len(tpl.bus_wake) != 1
-                or len(tpl.layer_wake) != 1
-                or tpl.bus_wake[0][0] != p_s
-                or tpl.layer_wake[0][0] != p_s
-                or tpl.key != (
-                    ((w, head),), ((p_s, False, False, False),), ()
-                )
+                or len(shape.bus_wake) != 1
+                or len(shape.layer_wake) != 1
+                or shape.bus_wake[0][0] != p_s
+                or shape.layer_wake[0][0] != p_s
             ):
                 return
+            states: tuple = ((p_s, False, False, False),)
             # sleep + start + two wakes + finalize per cycle.
             steps_per = 5
         else:
-            if tpl.bus_wake or tpl.layer_wake:
+            if shape.bus_wake or shape.layer_wake:
                 return
-            if tpl.key != (((w, head),), (), ()):
-                return
+            states = ()
             p_s = None
             steps_per = 2     # start dispatch + finalize per round
+        # The next round — ``w`` alone sends its head of queue from
+        # the state this round left — must be this very shape.
+        if shape.key != self.shapes.key(
+            w, csys.message_table[head], states, ()
+        ):
+            return
         delta = start_t0 - t0
         if delta <= 0:
             return
@@ -570,7 +559,7 @@ class BatchExecutor:
             k = min(k, (self.until - t0) // delta)
         if self.wi < self.wl_n:
             te = wl_t[self.wi]
-            k = min(k, (te - t0 - tpl.fin_off - 1) // delta)
+            k = min(k, (te - t0 - shape.fin_ps - 1) // delta)
         if k <= 0:
             return
         run_len = 0
@@ -589,13 +578,16 @@ class BatchExecutor:
         if OBS.enabled:
             OBS.metrics.inc("batch.steady_replays")
             OBS.metrics.inc("batch.steady_rounds", k)
-        log_append = self.round_log.append
-        s = t0
+        self.round_log.extend([
+            (t0 + r * delta, shape, head) for r in range(1, k + 1)
+        ])
+        popleft = queue.popleft
         for _ in range(k):
-            s += delta
-            log_append((s, tpl))
-            queue.popleft()
-        self.hit_counts[tpl.tid] += k
+            popleft()
+        s = t0 + k * delta
+        self.hit_counts[shape, head] = (
+            self.hit_counts.get((shape, head), 0) + k
+        )
         self.seq += 1
         self.start_t0 = s + delta
         self.start_seq = self.seq
@@ -604,8 +596,8 @@ class BatchExecutor:
             # the sleep instant — a constant span — and both domains
             # wake exactly once.  Leave the node powered with a fresh
             # pending sleep, exactly as round k's pump would have.
-            off_b = tpl.bus_wake[0][1]
-            off_l = tpl.layer_wake[0][1]
+            off_b = shape.bus_wake[0][1]
+            off_l = shape.layer_wake[0][1]
             d_sleep = t_sl - t0
             self.bus_total[p_s] += k * (d_sleep - off_b)
             self.layer_total[p_s] += k * (d_sleep - off_l)
@@ -615,21 +607,26 @@ class BatchExecutor:
             self.layer_since[p_s] = s + off_l
             self.seq += 1
             sleeps[0] = (s + d_sleep, self.seq, p_s)
-        self.now = s + tpl.fin_off
+        self.now = s + shape.fin_ps
 
 
 # ----------------------------------------------------------------------
 # Report materialisation.
 # ----------------------------------------------------------------------
 def round_transaction(
-    index: int, t0: int, tpl: RoundTemplate, names
+    index: int,
+    t0: int,
+    shape: RoundShape,
+    message: Optional[Message],
+    names,
 ) -> TransactionResult:
-    """One logged round (started at ``t0``) as the event-loop
-    backends' :class:`TransactionResult`."""
+    """One logged round (started at ``t0``, ``message`` its winner's)
+    as the event-loop backends' :class:`TransactionResult`."""
     rx_deliveries = []
-    if tpl.message is not None and tpl.rx:
-        dest = tpl.message.dest
-        broadcast = tpl.rx_broadcast
+    if message is not None and shape.rx:
+        dest = message.dest
+        payload = shape.payload(message)
+        broadcast = dest.is_broadcast
         rx_deliveries = [
             (
                 name,
@@ -642,22 +639,29 @@ def round_transaction(
                     arrived_at_ps=t0 + arr_off,
                 ),
             )
-            for name, payload, control, arr_off in tpl.rx
+            for _pos, name, control, delivered, arr_off in shape.rx
+            if delivered
         ]
     return TransactionResult(
         index=index,
-        ok=tpl.ok,
-        control=tpl.control,
-        tx_node=None if tpl.winner is None else names[tpl.winner],
-        message=tpl.message,
+        ok=shape.ok,
+        control=shape.control,
+        tx_node=None if shape.winner is None else names[shape.winner],
+        message=message,
         rx_deliveries=rx_deliveries,
-        clock_cycles=tpl.clock_cycles,
-        control_cycles=tpl.control_cycles,
+        clock_cycles=shape.clock_cycles,
+        control_cycles=shape.control_cycles,
         start_ps=t0,
-        end_ps=t0 + tpl.end_off,
-        general_error=tpl.general_error,
-        error_reason=tpl.error_reason,
+        end_ps=t0 + shape.end_ps,
+        general_error=shape.general_error,
+        error_reason=shape.error_reason,
     )
+
+
+def round_message(csys: CompiledSystem, ref: int) -> Optional[Message]:
+    """The message a logged round's ``ref`` names (``None``: a null
+    round)."""
+    return None if ref < 0 else csys.message_table[ref]
 
 
 def materialize(
@@ -671,8 +675,10 @@ def materialize(
     """
     names = csys.names
     return [
-        round_transaction(index, t0, tpl, names)
-        for index, (t0, tpl) in enumerate(result.round_log)
+        round_transaction(
+            index, t0, shape, round_message(csys, ref), names
+        )
+        for index, (t0, shape, ref) in enumerate(result.round_log)
     ]
 
 
@@ -689,11 +695,13 @@ def power_and_wire(csys: CompiledSystem, result: BatchResult):
             "bus_wakeups": result.bus_wakeups[p],
             "layer_wakeups": result.layer_wakeups[p],
         }
-    # Each template's per-node toggle counts, weighted by how many
-    # times it ran.
+    # Each shape's per-node toggle counts plus its message's stream
+    # edges, weighted by how many times the pair ran.
     totals = [0] * csys.n
-    for tid, hits in result.hit_counts.items():
-        for p, toggles in enumerate(csys.template_list[tid].wire_row):
-            totals[p] += hits * toggles
+    for (shape, ref), hits in result.hit_counts.items():
+        edges = shape.edges(round_message(csys, ref))
+        for p, toggles in enumerate(shape.wire):
+            totals[p] += hits * (toggles + edges)
     wire = {names[p]: totals[p] for p in range(csys.n)}
     return power, wire
+

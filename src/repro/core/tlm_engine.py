@@ -31,7 +31,16 @@ picosecond timings agree to within propagation-delay slack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core import constants
 from repro.core.addresses import Address
@@ -44,11 +53,15 @@ __all__ = [
     "NodeRoundState",
     "RingTopology",
     "RoundContext",
+    "RoundLayout",
     "RxDelivery",
     "TLMNode",
     "TransactionPlan",
     "plan_round",
     "resolve_arbitration",
+    "round_layout",
+    "stream_bit",
+    "stream_edges",
 ]
 
 
@@ -98,9 +111,12 @@ class TransactionPlan:
     """Everything a backend needs to realise one bus round.
 
     Every time field is an offset from the round's start (the
-    mediator's self-start), so one plan serves every recurrence of its
-    round: the fast path and the batch tier both replay a plan by
-    adding the round's start time.
+    mediator's self-start).  ``message``, the delivered payloads in
+    ``rx`` and the stream's share of ``wire_activity`` are the round's
+    overlay: everything else depends on the payload only through its
+    length and last driven bit, so both tiers keep a plan as a
+    payload-free :class:`~repro.core.round_shape.RoundShape` and
+    replay it, overlay applied, by adding the round's start time.
     """
 
     kind: str                       # "message" or "wakeup"
@@ -147,6 +163,16 @@ class RingTopology:
         self._prefix = [0] * (self.n + 1)
         for i, node in enumerate(self.nodes):
             self._prefix[i + 1] = self._prefix[i] + node.forward_delay_ps
+        #: Every node fact the planner reads besides ``ack_policy``, as
+        #: one hashable value: rings with equal facts plan equal rounds.
+        self.facts = (timing, tuple(
+            (
+                node.name, node.short_prefix, node.full_prefix,
+                tuple(sorted(node.broadcast_channels)),
+                node.rx_buffer_bytes, node.forward_delay_ps,
+            )
+            for node in self.nodes
+        ))
 
     def clk_prop(self, q: int) -> int:
         """Mediator CLK drive -> node q's CLK-in arrival delay."""
@@ -177,6 +203,18 @@ class RingTopology:
                 self._prefix[self.n] - self._prefix[src + 1]
             ) + self._prefix[dst]
         return self.drive_delay + between
+
+    def fall_reaches(
+        self, falls: Dict[int, int], dst: int, at_ps: int
+    ) -> bool:
+        """Does a DATA falling edge driven by another node (``falls``
+        maps position to drive time) reach node ``dst`` by ``at_ps``?
+        A node such an edge reaches while idle starts observing a
+        round, which cancels its pending auto-sleep or null pulse."""
+        for src, t in falls.items():
+            if src != dst and t + self.hop_delay(src, dst) <= at_ps:
+                return True
+        return False
 
 
 def matches(node: TLMNode, address: Address) -> bool:
@@ -271,6 +309,114 @@ def _stream_transitions(word: int, width: int) -> int:
     return ((driven ^ (driven >> 1)) & ((1 << (width + 1)) - 1)).bit_count()
 
 
+def stream_edges(message: Message, driven: int) -> int:
+    """DATA transitions a transmitter makes while driving the first
+    ``driven`` bits of ``message``'s address and data stream."""
+    word, width = _stream_word(message)
+    return _stream_transitions(word >> (width - driven), driven)
+
+
+def stream_bit(message: Message, index: int) -> int:
+    """Bit ``index`` (0-based, MSB first) of the address and data
+    stream a transmitter drives for ``message``."""
+    addr_bits = message.dest.n_bits
+    if index < addr_bits:
+        return (message.dest.encode() >> (addr_bits - 1 - index)) & 1
+    index -= addr_bits
+    return (message.payload[index >> 3] >> (7 - (index & 7))) & 1
+
+
+class RoundLayout(NamedTuple):
+    """Where a message round ends and who holds CLK at that point.
+
+    A function of the ring, the winner, the destination's receiver set
+    and the payload length alone — never of the payload bytes.
+    """
+
+    rx_positions: Tuple[int, ...]
+    r_end: int                      # rising edge the transfer ends at
+    runaway: bool
+    eom: bool
+    aborted: bool
+    overruns: FrozenSet[int]        # receivers whose buffer overflowed
+    holder_pos: Optional[int]       # member holding CLK at interjection
+    #: Stream index of the transmitter's last driven bit; -1 when the
+    #: mediator transmits (its interjection never depends on it).
+    last_index: int
+
+
+def round_layout(
+    topo: "RingTopology",
+    winner: int,
+    dest: Address,
+    n_bytes: int,
+    max_message_bytes: int,
+) -> RoundLayout:
+    """The :class:`RoundLayout` of a round ``winner`` transmits."""
+    nodes = topo.nodes
+    addr_bits = dest.n_bits
+    width = addr_bits + 8 * n_bytes
+
+    # Receiver set: every non-transmitting node whose address matches.
+    rx_positions = tuple(
+        node.position
+        for node in nodes
+        if node.position != winner and matches(node, dest)
+    )
+
+    # --- where does the transaction end? --------------------------------
+    r_eom = 3 + width
+    candidates = [("eom", r_eom)]
+    for pos in rx_positions:
+        buffer_bytes = nodes[pos].rx_buffer_bytes
+        k_abort = max(buffer_bytes + 1, constants.MIN_PROGRESS_BYTES)
+        if k_abort <= n_bytes:
+            candidates.append(("abort", 3 + addr_bits + 8 * k_abort))
+    r_watchdog = (
+        constants.ARBITRATION_CYCLES
+        + constants.ADDR_CYCLES_FULL
+        + 8 * max_message_bytes
+        + 8
+        + 1
+    )
+    if r_watchdog < r_eom:
+        candidates.append(("runaway", r_watchdog))
+    r_end = min(r for _, r in candidates)
+    kinds = {kind for kind, r in candidates if r == r_end}
+    runaway = "runaway" in kinds
+    eom = "eom" in kinds and not runaway
+    aborted = "abort" in kinds and not runaway
+
+    data_bytes_latched = max(0, (r_end - 3 - addr_bits) // 8)
+    overruns = frozenset(
+        pos for pos in rx_positions
+        if data_bytes_latched > nodes[pos].rx_buffer_bytes
+    )
+    # Who is breaking the CLK ring when the mediator interjects?  The
+    # transmitter at end of message, the (first) aborting receiver on
+    # an overrun; nobody on a runaway (the mediator acts directly).
+    broken_at_mediator = winner == 0
+    holder_pos = None
+    if not runaway and not broken_at_mediator:
+        holder_pos = winner if eom else min(overruns)
+    if broken_at_mediator:
+        last_index = -1
+    elif eom:
+        last_index = width - 1
+    else:
+        # Bits the transmitter has pushed out: one per falling edge
+        # from #4; it sees the absorbed falling R+1 only if the CLK
+        # holder is further around the ring than it is.
+        saw_extra_falling = holder_pos is not None and winner < holder_pos
+        last_index = min(
+            width - 1, r_end - 3 if saw_extra_falling else r_end - 4
+        )
+    return RoundLayout(
+        rx_positions, r_end, runaway, eom, aborted, overruns, holder_pos,
+        last_index,
+    )
+
+
 def interjection_fire_delay(
     broken_at_mediator: bool,
     last_driven_bit: int,
@@ -338,40 +484,17 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
         return _plan_wakeup_round(ctx, half, settle, full_prop)
 
     message = ctx.requests[winner]
-    stream, width = _stream_word(message)
     addr_bits = message.dest.n_bits
     n_bytes = message.n_bytes
     nodes = topo.nodes
-
-    # Receiver set: every non-transmitting node whose address matches.
-    rx_positions = [
-        node.position
-        for node in nodes
-        if node.position != winner and matches(node, message.dest)
-    ]
-
-    # --- where does the transaction end? --------------------------------
-    r_eom = 3 + width
-    candidates = [("eom", r_eom)]
-    for pos in rx_positions:
-        buffer_bytes = nodes[pos].rx_buffer_bytes
-        k_abort = max(buffer_bytes + 1, constants.MIN_PROGRESS_BYTES)
-        if k_abort <= n_bytes:
-            candidates.append(("abort", 3 + addr_bits + 8 * k_abort))
-    r_watchdog = (
-        constants.ARBITRATION_CYCLES
-        + constants.ADDR_CYCLES_FULL
-        + 8 * ctx.max_message_bytes
-        + 8
-        + 1
+    layout = round_layout(
+        topo, winner, message.dest, n_bytes, ctx.max_message_bytes
     )
-    if r_watchdog < r_eom:
-        candidates.append(("runaway", r_watchdog))
-    r_end = min(r for _, r in candidates)
-    kinds = {kind for kind, r in candidates if r == r_end}
-    runaway = "runaway" in kinds
-    eom = "eom" in kinds and not runaway
-    aborted = "abort" in kinds and not runaway
+    rx_positions = layout.rx_positions
+    r_end = layout.r_end
+    runaway, eom, aborted = layout.runaway, layout.eom, layout.aborted
+    overruns = layout.overruns
+    holder_pos = layout.holder_pos
 
     data_bytes_latched = max(0, (r_end - 3 - addr_bits) // 8)
     delivered_payload = message.payload[: data_bytes_latched]
@@ -391,32 +514,10 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
         # rising edge fails to propagate — one full cycle later.
         t_interject = 2 * (r_end + 1) * half
 
-    overruns = {
-        pos for pos in rx_positions
-        if data_bytes_latched > nodes[pos].rx_buffer_bytes
-    }
-    # Who is breaking the CLK ring when the mediator interjects?  The
-    # transmitter at end of message, the (first) aborting receiver on
-    # an overrun; nobody on a runaway (the mediator acts directly).
-    holder_pos = None
-    if not runaway and not broken_at_mediator:
-        holder_pos = winner if eom else min(overruns)
-    if broken_at_mediator:
-        last_bit = 0
-    else:
-        # Bits the transmitter has pushed out: one per falling edge
-        # from #4; it sees the absorbed falling R+1 only if the CLK
-        # holder is further around the ring than it is.
-        if eom:
-            last_index = width - 1
-        else:
-            saw_extra_falling = (
-                holder_pos is not None and winner < holder_pos
-            )
-            last_index = min(
-                width - 1, r_end - 3 if saw_extra_falling else r_end - 4
-            )
-        last_bit = (stream >> (width - 1 - last_index)) & 1
+    last_bit = (
+        0 if layout.last_index < 0
+        else stream_bit(message, layout.last_index)
+    )
     fire = t_interject + interjection_fire_delay(
         broken_at_mediator, last_bit, settle, full_prop
     )
@@ -530,8 +631,7 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
         )
 
     # --- wire-activity estimate -------------------------------------------
-    driven = r_end - 3                        # stream bits on the wire
-    stream_edges = _stream_transitions(stream >> (width - driven), driven)
+    edges = stream_edges(message, r_end - 3)
     toggles = interjection_fire_delay(
         broken_at_mediator, last_bit, 1, 0
     )
@@ -539,7 +639,7 @@ def _plan_round_impl(ctx: RoundContext) -> TransactionPlan:
         clk_edges = 2 * r_end + 6
         if holder_pos is not None and q <= holder_pos:
             clk_edges += 2
-        plan.wire_activity[q] = clk_edges + stream_edges + toggles + 3
+        plan.wire_activity[q] = clk_edges + edges + toggles + 3
     return plan
 
 

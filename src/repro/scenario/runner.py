@@ -104,7 +104,7 @@ BACKEND_TABLE: Tuple[BackendInfo, ...] = (
     ),
     BackendInfo(
         "batch",
-        "tier-3 compiled executor (flat arrays, round templates; "
+        "tier-3 compiled executor (flat arrays, round shapes; "
         "fleet-scale campaigns)",
     ),
 )
@@ -220,24 +220,46 @@ def _transaction_row(
     return doc, energy, bits
 
 
-def _template_rows(
-    batch: Tuple[Any, Any], model: MeasuredEnergyModel, n_nodes: int
-) -> Dict[int, Tuple[Dict, float, int]]:
-    """Template id -> :func:`_transaction_row` for every round template
-    a batch run's ``(CompiledSystem, BatchResult)`` replayed.  A row
-    does not depend on when its round started, so each template's row
-    is computed once, from an exemplar transaction at ``t0 = 0``."""
-    from repro.batch import round_transaction
+#: The model ``to_dict()`` prices transactions with; batch rows under
+#: it are memoised per round shape.
+_DEFAULT_ENERGY = MeasuredEnergyModel()
 
-    csys, result = batch
-    return {
-        tid: _transaction_row(
-            round_transaction(0, 0, csys.template_list[tid], csys.names),
-            model,
-            n_nodes,
+
+def _shape_row(shape: Any, message: Any, csys: Any) -> Tuple:
+    """A batch round shape's report row, memoised on the shape.
+
+    A row does not depend on when its round started, and only its
+    ``payload_hex`` depends on the message, so one exemplar row at
+    ``t0 = 0`` serves every round of the shape in every trial: its
+    document (index 0, ``message``'s ``payload_hex``), its energy under
+    the default model, its delivered bits, and its canonical JSON as
+    the three fragments around the ``index`` and ``payload_hex``
+    values.  ``index`` and ``payload_hex`` are interior keys in sorted
+    order and no earlier value can contain their unescaped text.
+    """
+    memo = shape.encoded
+    if memo is None:
+        from repro.batch import round_transaction
+        from repro.campaign.trial import canonical_json
+
+        doc, energy, bits = _transaction_row(
+            round_transaction(0, 0, shape, message, csys.names),
+            _DEFAULT_ENERGY,
+            csys.n,
         )
-        for tid in result.hit_counts
-    }
+        before, _, rest = canonical_json(
+            dict(doc, index=0, payload_hex=None)
+        ).partition('"index":0,')
+        between, _, tail = rest.partition('"payload_hex":null')
+        memo = shape.encoded = (
+            doc, energy, bits,
+            before + '"index":', "," + between + '"payload_hex":', tail,
+        )
+    return memo
+
+
+def _payload_hex(message: Any) -> Optional[str]:
+    return None if message is None else message.payload.hex()
 
 
 @dataclass
@@ -380,50 +402,90 @@ class RunReport:
         """:func:`_transaction_row` for every transaction, in bus order.
 
         A batch report reads its round log instead of ``transactions``:
-        every round gets a copy of its template's row document
-        (:func:`_template_rows`) under its own index.
+        every round gets a copy of its shape's row document
+        (:func:`_shape_row`) under its own index, with its own
+        message's ``payload_hex``.
         """
-        model = model or MeasuredEnergyModel()
-        n_nodes = len(self.spec.nodes)
         if self.batch is None:
+            model = model or _DEFAULT_ENERGY
+            n_nodes = len(self.spec.nodes)
             for t in self.transactions:
                 yield _transaction_row(t, model, n_nodes)
             return
-        rows = _template_rows(self.batch, model, n_nodes)
-        for index, (_t0, tpl) in enumerate(self.batch[1].round_log):
-            exemplar, energy, bits = rows[tpl.tid]
+        from repro.batch import round_message
+
+        csys, result = self.batch
+        rows: Dict[Tuple[Any, int], Tuple[Dict, float, int]] = {}
+        last_shape, last_ref, row = None, None, None
+        for index, (_t0, shape, ref) in enumerate(result.round_log):
+            # A burst logs one (shape, message) pair many times over.
+            if shape is not last_shape or ref != last_ref:
+                last_shape, last_ref = shape, ref
+                row = rows.get((shape, ref))
+                if row is None:
+                    row = rows[shape, ref] = self._pair_row(
+                        shape, round_message(csys, ref), model
+                    )
+            exemplar, energy, bits = row
             doc = dict(exemplar, index=index)
             doc["rx_nodes"] = list(exemplar["rx_nodes"])
             yield doc, energy, bits
+
+    def _pair_row(
+        self, shape: Any, message: Any, model: Optional[MeasuredEnergyModel]
+    ) -> Tuple[Dict, float, int]:
+        """The row document (index 0), energy and delivered bits of a
+        batch round of ``shape`` that ``message`` won."""
+        csys = self.batch[0]
+        exemplar, energy, bits = _shape_row(shape, message, csys)[:3]
+        if model is not None:
+            from repro.batch import round_transaction
+
+            energy = _transaction_row(
+                round_transaction(0, 0, shape, message, csys.names),
+                model,
+                csys.n,
+            )[1]
+        return dict(exemplar, payload_hex=_payload_hex(message)), energy, bits
 
     def transactions_json(self) -> Optional[str]:
         """The canonical JSON of ``to_dict()["transactions"]``, encoded
         from the round log of a batch report; ``None`` for the other
         tiers.
 
-        Each template's row is encoded once, as the two fragments
-        around its ``"index":`` value (``index`` is an interior key in
-        sorted order and no earlier value can contain the unescaped
-        text), so a round's entry is ``head + str(index) + tail``.
+        Each round shape's row is encoded once per process
+        (:func:`_shape_row`); each (shape, message) pair of this run
+        splices its ``payload_hex`` in once, leaving the two fragments
+        around its ``"index":`` value, so a round's entry is
+        ``head + str(index) + tail``.
         :func:`repro.campaign.trial.record_line` splices the result
         into a record line byte-identical to encoding the whole record.
         """
         if self.batch is None:
             return None
-        from repro.campaign.trial import canonical_json
+        from repro.batch import round_message
 
-        rows = _template_rows(
-            self.batch, MeasuredEnergyModel(), len(self.spec.nodes)
-        )
-        fragments: Dict[int, Tuple[str, str]] = {}
-        for tid, (exemplar, _energy, _bits) in rows.items():
-            head, marker, tail = canonical_json(
-                dict(exemplar, index=0)
-            ).partition('"index":')
-            fragments[tid] = (head + marker, tail[1:])
+        csys, result = self.batch
+        fragments: Dict[Tuple[Any, int], Tuple[str, str]] = {}
         entries: List[str] = []
-        for index, (_t0, tpl) in enumerate(self.batch[1].round_log):
-            head, tail = fragments[tpl.tid]
+        last_shape, last_ref, head, tail = None, None, "", ""
+        for index, (_t0, shape, ref) in enumerate(result.round_log):
+            if shape is not last_shape or ref != last_ref:
+                last_shape, last_ref = shape, ref
+                pair = fragments.get((shape, ref))
+                if pair is None:
+                    message = round_message(csys, ref)
+                    head, between, tail = _shape_row(
+                        shape, message, csys
+                    )[3:]
+                    hex_text = _payload_hex(message)
+                    pair = fragments[shape, ref] = (
+                        head,
+                        between
+                        + ("null" if hex_text is None else f'"{hex_text}"')
+                        + tail,
+                    )
+                head, tail = pair
             entries.append(f"{head}{index}{tail}")
         return "[" + ",".join(entries) + "]"
 
@@ -433,7 +495,7 @@ class RunReport:
         """The report as a JSON-friendly document.  Its
         ``transactions`` rows come from :meth:`_transaction_rows`; a
         batch report can also encode that array directly, once per
-        round template (:meth:`transactions_json`)."""
+        round shape (:meth:`transactions_json`)."""
         transactions = []
         energy_pj = 0.0
         bits = n_ok = 0
@@ -697,7 +759,7 @@ def _run_batch(
     spec content digest, so a campaign compiles each topology once.
     The report keeps the round log rather than materialising it: its
     ``transactions`` list is built on first access, and ``to_dict()``
-    serialises straight from the round templates.
+    serialises straight from the round shapes.
     """
     from repro.batch import (
         BatchExecutor,

@@ -11,9 +11,13 @@ closed form by :mod:`repro.core.tlm_engine` and realised as
 * one *finalize* event that performs deliveries, transaction-result
   assembly and re-arming of queued traffic.
 
-A plan's times are offsets from the round's start, so a round that
-recurs (a burst re-sends the same message between the same awake
-nodes) is planned once and replayed from a small per-backend cache.
+A plan's times are offsets from the round's start and, once
+arbitration is resolved, depend on the payload only through its length
+and last driven bit.  Rounds therefore resolve through the
+process-wide :mod:`repro.core.round_shape` store the batch tier shares:
+a round whose shape any earlier run on an equal ring planned is
+replayed, with its message, delivered slice and stream edges applied
+as an overlay.
 
 The backend drives the same :class:`~repro.sim.scheduler.Simulator`,
 :class:`~repro.core.power_domain.PowerDomain` objects and
@@ -28,27 +32,20 @@ interjection and other intra-transaction behaviours require
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core import constants
 from repro.core.bus_controller import TxOutcome
 from repro.core.mediator import MediatorReport
 from repro.core.messages import Message, ReceivedMessage
+from repro.core.round_shape import RoundShape, ShapeCache, shape_cache
 from repro.core.tlm_engine import (
     NODE_SETTLE_FACTOR,
-    NodeRoundState,
     RingTopology,
-    RoundContext,
     TLMNode,
-    TransactionPlan,
-    plan_round,
+    resolve_arbitration,
 )
 from repro.obs.state import OBS
-
-#: Round plans each backend keeps.  A burst cycles through a few round
-#: shapes; plans kept beyond that are never reused on traffic that does
-#: not repeat, and only cost collection time.
-ROUND_CACHE_SIZE = 8
 
 
 class FastPathBackend:
@@ -98,15 +95,17 @@ class FastPathBackend:
         self._start_event = None
         self._start_t0: Optional[int] = None
         self._tx_index = 0
-        # Recent round plans by key.  An ack_policy is a user callable
-        # on the delivered payload, so a plan that may call one is
-        # never reused.
-        self._round_cache: Optional[Dict[tuple, TransactionPlan]] = (
-            None
-            if any(node.config.ack_policy is not None for node in self.nodes)
-            else {}
+        # An ack_policy is a user callable on the delivered payload, so
+        # a ring with one plans every round.
+        self._plans_every_round = any(
+            node.config.ack_policy is not None for node in self.nodes
         )
-        self._wire_activity = {node.name: 0 for node in self.nodes}
+        self._shapes = self._shape_cache()
+        self._wire_activity = [0] * len(self.nodes)
+        self._auto_sleepers = tuple(
+            pos for pos, node in enumerate(self.nodes)
+            if node.config.power_gated and node.config.auto_sleep
+        )
         # The settle every node applies between observing a
         # transaction boundary and acting (MBusNode._settle_ps).
         self._settle_ps = NODE_SETTLE_FACTOR * self.timing.node_delay_ps
@@ -148,23 +147,30 @@ class FastPathBackend:
         )
 
     def wire_activity(self) -> Dict[str, int]:
-        return dict(self._wire_activity)
+        return {
+            node.name: count
+            for node, count in zip(self.nodes, self._wire_activity)
+        }
 
     def set_anchor(self, name: Optional[str]) -> None:
         """Anchor by node name (positions here are mediator-rooted)."""
         self.anchor_pos = None if name is None else self._positions[name]
-        self._forget_rounds()
+        self._shapes = self._shape_cache()
 
     def set_max_message_bytes(self, n_bytes: int) -> None:
         """Set the (already clamped) runaway watchdog length."""
         self.max_message_bytes = n_bytes
-        self._forget_rounds()
+        self._shapes = self._shape_cache()
 
-    def _forget_rounds(self) -> None:
-        # Plans depend on the anchor and the watchdog, which the round
-        # key leaves out.
-        if self._round_cache is not None:
-            self._round_cache.clear()
+    def _shape_cache(self) -> ShapeCache:
+        if self._plans_every_round:
+            return ShapeCache(
+                self.topology, self.anchor_pos, self.max_message_bytes,
+                capacity=0,
+            )
+        return shape_cache(
+            self.topology, self.anchor_pos, self.max_message_bytes
+        )
 
     # ------------------------------------------------------------------
     # Round triggering.
@@ -220,120 +226,99 @@ class FastPathBackend:
         # wiping any request it had driven (the edge engine therefore
         # runs a General Error round first and the message goes out in
         # the following one).
-        requests = tuple(
-            (pos, queue[0])
-            for pos, queue in self.queues.items()
-            if queue and nodes[pos].is_fully_awake and pos not in pulsers
-        )
         # The key names only states that differ from the awake,
-        # interrupt-free default, as batch round templates do.
-        states = tuple(
-            (pos, node.bus_domain.is_on, node.layer_domain.is_on,
-             node.pending_interrupt)
-            for pos, node in enumerate(nodes)
-            if node.pending_interrupt or not node.is_fully_awake
+        # interrupt-free default.
+        requests: Dict[int, Message] = {}
+        states = []
+        queues = self.queues
+        for pos, node in enumerate(nodes):
+            bus_on = node.bus_domain.is_on
+            layer_on = node.layer_domain.is_on
+            if bus_on and layer_on:
+                if node.pending_interrupt:
+                    states.append((pos, True, True, True))
+                queue = queues[pos]
+                if queue and pos not in pulsers:
+                    requests[pos] = queue[0]
+            else:
+                states.append(
+                    (pos, bus_on, layer_on, node.pending_interrupt)
+                )
+        if len(requests) == 1:
+            winner = next(iter(requests))
+        else:
+            winner = resolve_arbitration(
+                len(nodes), requests, self.anchor_pos
+            )
+        message = None if winner is None else requests[winner]
+        shapes = self._shapes
+        key = shapes.key(
+            winner, message, tuple(states),
+            tuple(sorted(pulsers)) if pulsers else (),
         )
-        key = (requests, states, tuple(sorted(pulsers)))
-        plan = self._plan(key)
+        shape = shapes.get(key)
+        if OBS.enabled:
+            OBS.metrics.inc(
+                "fastpath.round_cache_misses" if shape is None
+                else "fastpath.round_cache_hits"
+            )
+        if shape is None:
+            shape = shapes.add(key, message)
         self.active = True
-        for pos, at_ps in plan.bus_wake_at.items():
+        for pos, at_ps in shape.bus_wake:
             reason = "interrupt" if pos in pulsers else "transaction"
             self.sim.schedule_at(
                 t0 + at_ps, _power_on_fn(nodes[pos].bus_domain, reason)
             )
-        for pos, (at_ps, reason) in plan.layer_wake_at.items():
+        for pos, at_ps, reason in shape.layer_wake:
             self.sim.schedule_at(
                 t0 + at_ps, _power_on_fn(nodes[pos].layer_domain, reason)
             )
         pulsers.clear()
-        message = None if plan.winner is None else dict(requests)[plan.winner]
         self.sim.schedule_at(
-            t0 + max(plan.node_end_at.values()),
-            lambda: self._finalize(plan, t0, message),
+            t0 + shape.fin_ps,
+            lambda: self._finalize(shape, t0, message),
         )
 
-    def _plan(self, key: tuple) -> TransactionPlan:
-        """The round's plan, reused while its key recurs.
-
-        Plan times are offsets from the round's start, so one plan
-        serves each recurrence of its (requests, non-default states,
-        pulsers) key.
-        """
-        cache = self._round_cache
-        try:
-            plan = None if cache is None else cache.get(key)
-        except TypeError:
-            # A bytearray payload is mutable, so it cannot key a plan.
-            cache = plan = None
-        if OBS.enabled:
-            OBS.metrics.inc(
-                "fastpath.round_cache_misses" if plan is None
-                else "fastpath.round_cache_hits"
-            )
-        if plan is not None:
-            return plan
-        requests, states, pulsers = key
-        round_states = {
-            pos: NodeRoundState(True, True, False, pos in pulsers)
-            for pos in range(len(self.nodes))
-        }
-        for pos, bus_on, layer_on, pending in states:
-            round_states[pos] = NodeRoundState(
-                bus_on, layer_on, pending, pos in pulsers
-            )
-        plan = plan_round(RoundContext(
-            topology=self.topology,
-            requests=dict(requests),
-            states=round_states,
-            anchor_pos=self.anchor_pos,
-            max_message_bytes=self.max_message_bytes,
-        ))
-        if cache is not None:
-            if len(cache) >= ROUND_CACHE_SIZE:
-                del cache[next(iter(cache))]
-            cache[key] = plan
-        return plan
-
     def _finalize(
-        self, plan: TransactionPlan, t0: int, message: Optional[Message]
+        self, shape: RoundShape, t0: int, message: Optional[Message]
     ) -> None:
         # Stay "busy" through result/delivery callbacks: the edge
         # engine fires on_tx_done/on_rx_done before its FSM returns to
         # IDLE, so e.g. node.sleep() from an on_receive handler raises
         # on both backends.  Interrupt servicing below happens after
         # the engines idle, so the flag drops first there.
-        order = sorted(plan.node_end_at, key=plan.node_end_at.get)
 
-        # Transmit outcome first at the transmitter's end-of-round.  A
-        # reused plan carries the message of the round it was planned
-        # for: pop and report this round's own head of queue instead.
+        # Transmit outcome first at the transmitter's end-of-round: pop
+        # and report this round's own head of queue.
         if message is not None:
-            tx_node = self.nodes[plan.winner]
-            queue = self.queues[plan.winner]
+            tx_node = self.nodes[shape.winner]
+            queue = self.queues[shape.winner]
             if queue and queue[0] is message:
                 queue.popleft()
             outcome = TxOutcome(
                 message=message,
-                control=plan.tx_control,
-                success=plan.tx_success,
-                bytes_sent=plan.tx_bytes_sent,
+                control=shape.tx_control,
+                success=shape.tx_success,
+                bytes_sent=shape.tx_bytes_sent,
             )
             tx_node.results.append(outcome)
             if tx_node.on_result is not None:
                 tx_node.on_result(tx_node, outcome)
 
             # Deliveries, in ring-arrival order (members, then mediator).
-            for delivery in plan.rx:
-                if not delivery.delivered:
+            payload = shape.payload(message)
+            for pos, _name, control, delivered, arrived_at_ps in shape.rx:
+                if not delivered:
                     continue
-                node = self.nodes[delivery.position]
+                node = self.nodes[pos]
                 received = ReceivedMessage(
                     source_hint="",
                     dest=message.dest,
-                    payload=delivery.payload,
+                    payload=payload,
                     broadcast=message.dest.is_broadcast,
-                    control=delivery.control,
-                    arrived_at_ps=t0 + delivery.arrived_at_ps,
+                    control=control,
+                    arrived_at_ps=t0 + arrived_at_ps,
                 )
                 node.inbox.append(received)
                 node.layer.deliver(received)
@@ -342,7 +327,7 @@ class FastPathBackend:
 
         # Interrupt servicing at each node's observed transaction end.
         self.active = False
-        for pos in order:
+        for pos in shape.end_order:
             node = self.nodes[pos]
             if node.pending_interrupt and node.is_fully_awake:
                 node.pending_interrupt = False
@@ -352,51 +337,44 @@ class FastPathBackend:
         report = MediatorReport(
             index=self._tx_index,
             start_ps=t0,
-            end_ps=t0 + plan.end_ps,
-            clock_cycles=plan.clock_cycles,
-            control_cycles=plan.control_cycles,
-            control_bits=tuple(plan.control.value),
-            general_error=plan.general_error,
-            error_reason=plan.error_reason,
+            end_ps=t0 + shape.end_ps,
+            clock_cycles=shape.clock_cycles,
+            control_cycles=shape.control_cycles,
+            control_bits=tuple(shape.control.value),
+            general_error=shape.general_error,
+            error_reason=shape.error_reason,
         )
         self._tx_index += 1
-        for pos, count in plan.wire_activity.items():
-            self._wire_activity[self.nodes[pos].name] += count
+        edges = shape.edges(message)
+        wire_activity = self._wire_activity
+        for pos, count in enumerate(shape.wire):
+            wire_activity[pos] += count + edges
         self.system._assemble_result(report)
         if OBS.enabled:
             OBS.metrics.inc("fastpath.rounds")
 
-        request_falls = self._pump_after_round(plan, t0)
-        self._schedule_auto_sleeps(plan, t0, request_falls)
+        request_falls = self._pump_after_round(shape, t0)
+        self._schedule_auto_sleeps(shape, t0, request_falls)
 
     # ------------------------------------------------------------------
     # Post-round housekeeping.
     # ------------------------------------------------------------------
     def _schedule_auto_sleeps(
-        self, plan: TransactionPlan, t0: int, request_falls: Dict[int, int]
+        self, shape: RoundShape, t0: int, request_falls: Dict[int, int]
     ) -> None:
         settle = self._settle_ps
-        for pos, node in enumerate(self.nodes):
-            if not (node.config.power_gated and node.config.auto_sleep):
-                continue
+        for pos in self._auto_sleepers:
+            node = self.nodes[pos]
             if self.queues[pos] or node.pending_interrupt:
                 continue
-            at_ps = max(self.sim.now, t0 + plan.node_end_at[pos] + settle)
+            at_ps = max(self.sim.now, t0 + shape.node_end[pos] + settle)
             # The edge engine aborts the sleep if another node's bus
             # request (a DATA falling edge) reaches this node before
             # its settle expires — the engine is "busy" again and the
             # node rides straight into the next round without a fresh
             # wakeup.
-            fall_emit = {
-                p: t for p, t in request_falls.items() if p != pos
-            }
-            if fall_emit:
-                earliest = min(
-                    t + self.topology.hop_delay(p, pos)
-                    for p, t in fall_emit.items()
-                )
-                if earliest <= at_ps:
-                    continue
+            if self.topology.fall_reaches(request_falls, pos, at_ps):
+                continue
             self.sim.schedule_at(at_ps, _auto_sleep_fn(self, pos))
 
     def _auto_sleep(self, pos: int) -> None:
@@ -409,7 +387,7 @@ class FastPathBackend:
             node.bus_domain.power_off("auto-sleep")
 
     def _pump_after_round(
-        self, plan: TransactionPlan, t0: int
+        self, shape: RoundShape, t0: int
     ) -> Dict[int, int]:
         """Arm the next round from whatever traffic remains queued.
 
@@ -417,21 +395,27 @@ class FastPathBackend:
         nodes re-request a settle delay after observing their final
         control edge; the mediator catches a pending request either at
         its return-to-idle scan (two ring delays after the report) or
-        on the request's falling edge, whichever is later.
+        on the request's falling edge, whichever is later.  A node that
+        is not fully awake raises its null pulse instead — unless
+        another node's request (or earlier pulse) has already reached
+        it, which leaves it busy observing that round: it stays
+        pending and pulses after the round.
 
-        Returns the DATA falling edges emitted by re-requesting nodes
-        (position -> drive time), which auto-sleep suppression needs.
+        Returns the DATA falling edges emitted by re-requesting and
+        pulsing nodes (position -> drive time), which auto-sleep
+        suppression needs.
         """
         n = self.topology.n
         settle = self._settle_ps
-        return_to_idle = t0 + plan.end_ps + 2 * self.timing.ring_delay_ps(n)
+        return_to_idle = t0 + shape.end_ps + 2 * self.timing.ring_delay_ps(n)
         candidates: List[int] = []
         request_falls: Dict[int, int] = {}
+        sleepers: List[Tuple[int, int]] = []
         for pos, node in enumerate(self.nodes):
             wants_bus = bool(self.queues[pos]) or node.pending_interrupt
             if not wants_bus:
                 continue
-            t_end = t0 + plan.node_end_at[pos]
+            t_end = t0 + shape.node_end[pos]
             if node.is_fully_awake and self.queues[pos]:
                 if pos == 0:
                     # The mediator's member starts the clock directly;
@@ -445,15 +429,19 @@ class FastPathBackend:
                     )
                     candidates.append(max(arrival, return_to_idle))
             else:
-                # Not (fully) awake: the node pulses its interrupt line
-                # once it observes the end of the round.
                 node.pending_interrupt = True
-                self._pulsers.add(pos)
-                request_falls[pos] = t_end + settle
-                arrival = (
-                    t_end + settle + self.topology.member_to_mediator(pos)
-                )
-                candidates.append(max(arrival, return_to_idle))
+                sleepers.append((t_end + settle, pos))
+        # Pulses in drive order: only an earlier fall can make a node
+        # busy before its own settle expires.
+        for at_ps, pos in sorted(sleepers):
+            if self.topology.fall_reaches(request_falls, pos, at_ps):
+                continue
+            self._pulsers.add(pos)
+            request_falls[pos] = at_ps
+            candidates.append(
+                max(at_ps + self.topology.member_to_mediator(pos),
+                    return_to_idle)
+            )
         if candidates:
             self._schedule_start(
                 min(candidates) + self.timing.mediator_wakeup_ps

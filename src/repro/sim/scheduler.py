@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs.state import OBS
 
@@ -57,9 +57,6 @@ class Event:
                 self.sim._pending_count -= 1
                 self.sim = None
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time}ps seq={self.seq}{state}>"
@@ -81,7 +78,9 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._queue: List[Event] = []
+        # Heap of (time, seq, event): tuples compare in C, and seq is
+        # unique, so the event itself is never compared.
+        self._queue: List[Tuple[int, int, Event]] = []
         self._events_processed = 0
         # Live count of queued, non-cancelled events.  Kept in sync by
         # schedule/pop/Event.cancel so pending() is O(1) instead of a
@@ -110,10 +109,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        event = Event(time, self._seq, fn, self)
-        self._seq += 1
+        seq = self._seq
+        event = Event(time, seq, fn, self)
+        self._seq = seq + 1
         self._pending_count += 1
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def pending(self) -> int:
@@ -123,7 +123,7 @@ class Simulator:
     def step(self) -> bool:
         """Fire the next event.  Returns False if the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -178,7 +178,7 @@ class Simulator:
         fired = 0
         check_wall = wall_deadline is not None
         while self._queue:
-            head = self._queue[0]
+            head = self._queue[0][2]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue

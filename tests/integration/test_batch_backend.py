@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 import repro.batch
-from repro.batch import cache_stats, clear_cache, compile_system_cached
+from repro.batch import cache_stats, clear_cache
 from repro.campaign import canonical_json
 from repro.core import Address
 from repro.core.errors import BusLockedError, ConfigurationError
@@ -238,12 +238,12 @@ class TestBatchRecords:
         assert repr(report) == repr(eager)
 
     def test_documents_do_not_share_state(self):
-        # Every round of a plain burst replays one template.
+        # Every round of a plain burst replays one shape.
         spec = _spec(NodeSpec("a", short_prefix=0x2))
         workload = Burst("m", Address.short(0x2, 5), b"\x01", count=4)
         report = run(spec, workload, backend="batch")
         _csys, result = report.batch
-        assert len({id(tpl) for _t0, tpl in result.round_log}) == 1
+        assert len({id(shape) for _t0, shape, _ref in result.round_log}) == 1
         doc = report.to_dict()
         first, second = doc["transactions"][:2]
         assert first["rx_nodes"] == second["rx_nodes"] == ["a"]
@@ -323,10 +323,10 @@ class TestBatchCampaign:
         ).run()
         stats = cache_stats()
         # One topology, three trials: one miss, the rest cache hits —
-        # and the warm template cache carries across trials.
+        # and the warm round shapes carry across trials.
         assert stats["misses"] == 1
         assert stats["hits"] >= 2
-        assert stats["templates"] > 0
+        assert stats["shapes"] > 0
 
 
 class TestTemplateReuse:
@@ -339,7 +339,6 @@ class TestTemplateReuse:
             ),
         )
         clear_cache()
-        csys = compile_system_cached(spec)
         run(
             spec,
             Burst("m", Address.short(0x2, 5), b"\xAB", count=50),
@@ -347,7 +346,7 @@ class TestTemplateReuse:
         )
         # 50 identical transactions cannot need anywhere near 50
         # distinct round shapes.
-        assert 0 < len(csys.template_list) < 10
+        assert 0 < cache_stats()["shapes"] < 10
 
 
 class TestThreeWayFuzz:

@@ -125,13 +125,20 @@ class TestBackendMetrics:
         assert snap["gauges"]["sim.now_ps"] > 0
 
     def test_fastpath_metrics(self):
+        from repro.batch.cache import clear_cache
+
+        clear_cache()
         session, _ = traced_run("fast")
         counters = session.metrics.snapshot()["counters"]
         assert counters["fastpath.rounds"] >= 1
         assert counters["tlm.plan_round_calls"] >= 1
 
     def test_fastpath_round_cache_counters(self):
+        from repro.batch.cache import clear_cache
+
+        clear_cache()
         session, _ = traced_run("fast")
+        clear_cache()
         again, _ = traced_run("fast")
         counters = session.metrics.snapshot()["counters"]
         hits = counters["fastpath.round_cache_hits"]

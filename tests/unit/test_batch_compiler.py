@@ -22,6 +22,7 @@ from repro.batch import (
 )
 from repro.core import Address
 from repro.core.errors import ConfigurationError
+from repro.core.round_shape import shape_cache
 from repro.core.messages import Message
 from repro.scenario import (
     BACKEND_REGISTRY,
@@ -78,9 +79,16 @@ class TestCompiledSystem:
         assert csys.auto_sleep == (0, 1)
 
     def test_template_cache_starts_empty_and_is_mutable(self):
+        clear_cache()
         csys = CompiledSystem(three_chip())
-        assert csys.templates == {}
-        assert csys.template_list == []
+        shapes = shape_cache(
+            csys.topology, csys.anchor_pos, csys.max_message_bytes
+        )
+        assert len(shapes) == 0
+        run(three_chip(), OneShot("cpu", Address.short(0x2), b"\x01"),
+            backend="batch")
+        # The run planned into the store entry its ring shares.
+        assert len(shapes) > 0
 
     def test_anchor_resolution(self):
         spec = SystemSpec(
